@@ -277,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-dataset", help="generate dataset plus manifest")
     g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--config", help="key=value config file; flags override it")
-    g.add_argument("--seed", type=int, help="base seed (default 0)")
+    g.add_argument(
+        "--seed", type=int, help="base seed (default: the config file's base_seed, else 7)"
+    )
     g.add_argument("--levels", type=_levels_list, help="comma list of level indices 0..3")
     g.add_argument("--count", type=_positive_int, help="samples per level")
     g.add_argument("--train-count", type=_positive_int, help="training samples per level")

@@ -33,6 +33,7 @@ from (base_seed, sample id).
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -118,8 +119,12 @@ class DatasetConfig:
             raise ConfigError("count_per_level must be at least 2")
         if not (0 < self.train_per_level < self.count_per_level):
             raise ConfigError("train_per_level must split the per-level count")
-        if self.z_obs <= 0:
-            raise ConfigError("observation distance must be positive")
+        if not (math.isfinite(self.z_obs) and self.z_obs > 0):
+            raise ConfigError(
+                f"observation distance must be positive and finite, got {self.z_obs}"
+            )
+        if not (math.isfinite(self.waist) and self.waist > 0):
+            raise ConfigError(f"beam waist must be positive and finite, got {self.waist}")
         if self.observation not in OBSERVATIONS:
             raise ConfigError(
                 f"unknown observation mode {self.observation!r}, expected {OBSERVATIONS}"

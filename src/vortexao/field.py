@@ -8,6 +8,7 @@ held by a field are treated as read-only by convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,10 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ConfigError(f"grid size must be a power of two >= 8, got {self.n}")
-        if self.dx <= 0:
-            raise ConfigError(f"grid spacing must be positive, got {self.dx}")
-        if self.wavelength <= 0:
-            raise ConfigError(f"wavelength must be positive, got {self.wavelength}")
+        if not (math.isfinite(self.dx) and self.dx > 0):
+            raise ConfigError(f"grid spacing must be positive and finite, got {self.dx}")
+        if not (math.isfinite(self.wavelength) and self.wavelength > 0):
+            raise ConfigError(f"wavelength must be positive and finite, got {self.wavelength}")
 
     @property
     def side(self) -> float:
@@ -112,8 +113,8 @@ def make_vortex_beam(grid: GridSpec, ell: int, waist: float) -> ComplexField:
     centered on the grid and normalized to unit total power. ``ell = 0``
     reduces to a plain Gaussian.
     """
-    if waist <= 0:
-        raise ConfigError(f"waist must be positive, got {waist}")
+    if not (math.isfinite(waist) and waist > 0):
+        raise ConfigError(f"waist must be positive and finite, got {waist}")
     if waist > grid.side / 2:
         raise ConfigError(
             f"waist {waist} exceeds half the grid side {grid.side / 2}; beam clipped"

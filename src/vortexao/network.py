@@ -28,6 +28,7 @@ the output residual ``r = dL/d(out)``:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field as dataclass_field
 
@@ -89,6 +90,13 @@ class DiffractiveLayer:
             raise GridMismatchError("phase and log_amplitude shapes differ")
         if np.any(self.log_amplitude > 0):
             raise ConfigError("log_amplitude must be <= 0 (passive layer)")
+        # (phase, log_amplitude, t) of the last transmission() computation
+        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def __getstate__(self):
+        # copies and pickles start without the cache: a copied array would
+        # come back writeable
+        return {**self.__dict__, "_cache": None}
 
     @classmethod
     def identity(cls, n: int, mode: str = "hybrid") -> "DiffractiveLayer":
@@ -110,7 +118,23 @@ class DiffractiveLayer:
         return np.mod(self.phase, 2.0 * np.pi)
 
     def transmission(self) -> np.ndarray:
-        return np.exp(self.log_amplitude + 1j * self.phase)
+        """The complex transmission ``exp(log_amplitude + i phase)``, read-only.
+
+        The result is cached on the values of both arrays: it is recomputed
+        exactly when either array differs from the copy kept at the last
+        computation. In-place edits, reassignment and deep copies therefore
+        never see a stale transmission, and nothing has to be invalidated.
+        """
+        cache = self._cache
+        if (
+            cache is None
+            or not np.array_equal(cache[0], self.phase)
+            or not np.array_equal(cache[1], self.log_amplitude)
+        ):
+            t = np.exp(self.log_amplitude + 1j * self.phase)
+            t.flags.writeable = False
+            cache = self._cache = (self.phase.copy(), self.log_amplitude.copy(), t)
+        return cache[2]
 
 
 class DiffractiveNetwork:
@@ -126,8 +150,8 @@ class DiffractiveNetwork:
     def __init__(self, grid: GridSpec, layers: list[DiffractiveLayer], spacing: float):
         if not layers:
             raise ConfigError("network needs at least one layer")
-        if spacing <= 0:
-            raise ConfigError(f"layer spacing must be positive, got {spacing}")
+        if not (math.isfinite(spacing) and spacing > 0):
+            raise ConfigError(f"layer spacing must be positive and finite, got {spacing}")
         for layer in layers:
             if layer.phase.shape != (grid.n, grid.n):
                 raise GridMismatchError("layer arrays do not match the network grid")
@@ -220,6 +244,18 @@ class Gradients(list):
         self.readout = np.array(readout, dtype=np.float64)
 
 
+def _check_input_image(img: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """The image as float64, after checking it is encodable on ``grid``."""
+    img = np.asarray(img, dtype=np.float64)
+    if img.shape != (grid.n, grid.n):
+        raise GridMismatchError(f"image shape {img.shape} does not match grid {grid.n}")
+    if img.min() < -1e-12 or img.max() > 1 + 1e-12:
+        raise DomainError("encode_input expects values in [0, 1]")
+    if img.sum() <= 0:
+        raise DomainError("cannot encode an all-zero image")
+    return img
+
+
 def encode_input(img: np.ndarray, grid: GridSpec) -> ComplexField:
     """Amplitude-encode a normalized image as a zero-phase field.
 
@@ -227,14 +263,7 @@ def encode_input(img: np.ndarray, grid: GridSpec) -> ComplexField:
     reproduces the image (up to the overall power normalization), then
     normalizes to unit total power.
     """
-    img = np.asarray(img, dtype=np.float64)
-    if img.shape != (grid.n, grid.n):
-        raise GridMismatchError(f"image shape {img.shape} does not match grid {grid.n}")
-    if img.min() < -1e-12 or img.max() > 1 + 1e-12:
-        raise DomainError("encode_input expects values in [0, 1]")
-    total = img.sum()
-    if total <= 0:
-        raise DomainError("cannot encode an all-zero image")
+    img = _check_input_image(img, grid)
     u = np.sqrt(np.clip(img, 0.0, None)).astype(np.complex128)
     u /= np.sqrt(np.sum(np.abs(u) ** 2) * grid.dx**2)
     return ComplexField(grid, u)
@@ -310,10 +339,9 @@ def backward(
     grads = Gradients(readout=(d_gain, d_offset))
     adj = propagate_adjoint(adj, net.kernel)
     for layer, v_post in zip(reversed(net.layers), reversed(tape.post_layer)):
-        zeros = np.zeros((net.grid.n, net.grid.n))
         prod = adj.values * np.conj(v_post.values)
-        g_phase = 2.0 * np.imag(prod) if layer.trains_phase else zeros
-        g_amp = 2.0 * np.real(prod) if layer.trains_amplitude else zeros.copy()
+        g_phase = 2.0 * np.imag(prod) if layer.trains_phase else np.zeros(prod.shape)
+        g_amp = 2.0 * np.real(prod) if layer.trains_amplitude else np.zeros(prod.shape)
         grads.append(LayerGradients(g_phase, g_amp))
         adj = ComplexField(net.grid, adj.values * np.conj(layer.transmission()))
         adj = propagate_adjoint(adj, net.kernel)
@@ -425,10 +453,12 @@ def train(
         raise ConfigError(f"batch size must be >= 1, got {batch}")
     n = net.grid.n
     for x_img, y_img in pairs:
-        if x_img.shape != (n, n) or y_img.shape != (n, n):
+        # every input is checked before the first step but encoded only when
+        # drawn: a complex field held per pair would double the data's memory
+        _check_input_image(x_img, net.grid)
+        if y_img.shape != (n, n):
             raise GridMismatchError("dataset image shapes do not match the network grid")
 
-    inputs = [encode_input(x, net.grid) for x, _ in pairs]
     targets = [np.asarray(y, dtype=np.float64) for _, y in pairs]
     state = TrainState(net, lr=lr)
     rng = np.random.Generator(np.random.PCG64(shuffle_seed))
@@ -440,7 +470,7 @@ def train(
             idx = order[start : start + batch]
             acc: Gradients | None = None
             for j in idx:
-                output, tape = forward(net, inputs[j])
+                output, tape = forward(net, encode_input(pairs[j][0], net.grid))
                 epoch_loss += loss_mse(output, targets[j])
                 grads = backward(net, tape, output, targets[j])
                 if acc is None:
@@ -500,11 +530,16 @@ def save_checkpoint(path, state: TrainState) -> None:
     Little-endian binary: magic, version, grid n, dx, wavelength, spacing,
     layer count, mode, then per layer the phase and log-amplitude arrays as
     float64, then the Adam moments and the step count, then the readout
-    gain and offset and their Adam moments. Round-trips bit exactly.
+    gain and offset and their Adam moments. Round-trips bit exactly. The
+    format holds one mode for all layers, so a network whose layers differ
+    in mode raises :class:`CheckpointError`.
     """
     from .images import atomic_write_bytes
 
     net = state.network
+    modes = [layer.mode for layer in net.layers]
+    if len(set(modes)) != 1:
+        raise CheckpointError(f"layer modes {modes} differ; a checkpoint holds one mode")
     g = net.grid
     parts = [
         _MAGIC,

@@ -14,7 +14,7 @@ independent small-grid reference; it is O(n^4) and not meant for production.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -24,17 +24,23 @@ from .field import ComplexField, GridSpec, _require_same_grid
 
 @dataclass(frozen=True)
 class PropagationKernel:
-    """Precomputed Fourier-domain transfer function for one hop."""
+    """Precomputed Fourier-domain transfer function for one hop.
+
+    ``h_adjoint = conj(h)`` is the transfer function of the adjoint hop,
+    built once with the kernel.
+    """
 
     grid: GridSpec
     distance: float
     h: np.ndarray
+    h_adjoint: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.h.shape != (self.grid.n, self.grid.n):
             raise GridMismatchError(
                 f"kernel shape {self.h.shape} does not match grid {self.grid.n}"
             )
+        object.__setattr__(self, "h_adjoint", np.conj(self.h))
 
 
 def make_kernel(grid: GridSpec, distance: float) -> PropagationKernel:
@@ -50,12 +56,16 @@ def make_kernel(grid: GridSpec, distance: float) -> PropagationKernel:
     return PropagationKernel(grid, distance, np.exp(1j * phase))
 
 
-def propagate(field: ComplexField, kernel: PropagationKernel) -> ComplexField:
-    """Apply the transfer function: IFFT( FFT(u) * H ). Power conserving."""
+def _hop(field: ComplexField, kernel: PropagationKernel, h: np.ndarray) -> ComplexField:
+    """IFFT( FFT(u) * h ) with orthonormal transforms."""
     _require_same_grid(field.grid, kernel.grid)
     spec = np.fft.fft2(field.values, norm="ortho")
-    out = np.fft.ifft2(spec * kernel.h, norm="ortho")
-    return ComplexField(field.grid, out)
+    return ComplexField(field.grid, np.fft.ifft2(spec * h, norm="ortho"))
+
+
+def propagate(field: ComplexField, kernel: PropagationKernel) -> ComplexField:
+    """Apply the transfer function: IFFT( FFT(u) * H ). Power conserving."""
+    return _hop(field, kernel, kernel.h)
 
 
 def propagate_adjoint(field: ComplexField, kernel: PropagationKernel) -> ComplexField:
@@ -65,10 +75,7 @@ def propagate_adjoint(field: ComplexField, kernel: PropagationKernel) -> Complex
     adjoint equals the inverse: propagation with conj(H). This carries
     output-plane residuals backward during gradient computation.
     """
-    _require_same_grid(field.grid, kernel.grid)
-    spec = np.fft.fft2(field.values, norm="ortho")
-    out = np.fft.ifft2(spec * np.conj(kernel.h), norm="ortho")
-    return ComplexField(field.grid, out)
+    return _hop(field, kernel, kernel.h_adjoint)
 
 
 def layer_transmit(field: ComplexField, t: np.ndarray) -> ComplexField:

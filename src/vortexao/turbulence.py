@@ -16,7 +16,8 @@ phase spectrum on the discrete frequency grid and Fourier transforming.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,6 +60,9 @@ class TurbulenceParams:
     k0: float
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.cn2 < 0:
             raise ConfigError(f"cn2 must be non-negative, got {self.cn2}")
         if not (TAU_RANGE[0] <= self.tau < TAU_RANGE[1]):
@@ -82,6 +86,8 @@ class TurbulenceParams:
         epsilon: float = 1e-5,
     ) -> "TurbulenceParams":
         """Construct from the structure strength; chi_t derived from epsilon."""
+        if not epsilon > 0:
+            raise ConfigError(f"epsilon must be positive, got {epsilon}")
         chi_t = cn2 * 1e8 * epsilon ** (1.0 / 3.0)
         return cls(cn2, epsilon, chi_t, tau, eta, z, 2.0 * np.pi / wavelength)
 

@@ -185,6 +185,14 @@ class TestObservationModes:
         with pytest.raises(ConfigError):
             dataclasses.replace(tiny_config, observation="focal")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot", ["z_obs", "waist"])
+    def test_non_finite_scalars_rejected(self, tiny_config, slot, bad):
+        import dataclasses
+
+        with pytest.raises(ConfigError):
+            dataclasses.replace(tiny_config, **{slot: bad})
+
     def test_parallel_generation_matches_serial(self, tiny_config, tmp_path):
         serial = tmp_path / "serial"
         parallel = tmp_path / "parallel"

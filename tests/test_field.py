@@ -32,6 +32,13 @@ class TestGridSpec:
         with pytest.raises(ConfigError):
             GridSpec(64, dx, lam)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot", ["dx", "wavelength"])
+    def test_rejects_non_finite_scalars(self, slot, bad):
+        args = {"dx": 1e-4, "wavelength": 633e-9, slot: bad}
+        with pytest.raises(ConfigError):
+            GridSpec(64, **args)
+
     def test_pixel_centers_avoid_origin(self):
         g = GridSpec(8, 1e-3, 633e-9)
         x, y = g.mesh()
@@ -74,6 +81,11 @@ class TestMakeVortexBeam:
     def test_rejects_clipping_waist(self, grid64):
         with pytest.raises(ConfigError):
             make_vortex_beam(grid64, -3, 0.0051)
+
+    @pytest.mark.parametrize("waist", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_waist(self, grid16, waist):
+        with pytest.raises(ConfigError):
+            make_vortex_beam(grid16, 1, waist)
 
     def test_rejects_unresolvable_charge(self, grid16):
         with pytest.raises(ConfigError):

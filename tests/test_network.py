@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -299,6 +301,18 @@ class TestTrain:
         _, lb = train(net_b, pairs, epochs=3, batch=2, lr=0.01, shuffle_seed=5)
         assert la == lb
 
+    def test_bad_input_rejected_before_first_step(self, grid16, rng):
+        # inputs are encoded lazily, but every one is checked before training
+        net = small_net(grid16)
+        before = [layer.phase.copy() for layer in net.layers]
+        pairs = [random_pair(grid16, rng) for _ in range(4)]
+        pairs[-1] = (np.full((16, 16), 2.0), pairs[-1][1])
+        with pytest.raises(DomainError):
+            train(net, pairs, epochs=1, batch=1, lr=0.01)
+        assert net.version == 0
+        for layer, phase in zip(net.layers, before):
+            np.testing.assert_array_equal(layer.phase, phase)
+
     def test_loss_history_length(self, grid16, rng):
         pairs = [random_pair(grid16, rng) for _ in range(4)]
         _, losses = train(small_net(grid16), pairs, epochs=7, batch=2, lr=0.01)
@@ -404,11 +418,25 @@ class TestCheckpoint:
         save_checkpoint(path, TrainState(net))
         assert load_checkpoint(path).network.layers[0].mode == "phase"
 
+    def test_mixed_modes_rejected(self, grid16, tmp_path):
+        # the format stores one mode for all layers
+        layers = [DiffractiveLayer.identity(16, mode) for mode in ("phase", "amplitude")]
+        net = DiffractiveNetwork(grid16, layers, spacing=0.05)
+        path = tmp_path / "mixed.ckpt"
+        with pytest.raises(CheckpointError, match="'phase', 'amplitude'"):
+            save_checkpoint(path, TrainState(net))
+        assert not path.exists()
+
 
 class TestLayerInvariants:
     def test_rejects_positive_log_amplitude(self):
         with pytest.raises(ConfigError):
             DiffractiveLayer("hybrid", np.zeros((8, 8)), np.full((8, 8), 0.1))
+
+    @pytest.mark.parametrize("spacing", [np.nan, np.inf, -np.inf])
+    def test_network_rejects_non_finite_spacing(self, grid16, spacing):
+        with pytest.raises(ConfigError):
+            DiffractiveNetwork(grid16, [DiffractiveLayer.identity(16)], spacing)
 
     def test_exported_phase_wraps(self):
         layer = DiffractiveLayer("phase", np.full((8, 8), 7.0), np.zeros((8, 8)))
@@ -424,3 +452,81 @@ class TestLayerInvariants:
         _, tape = forward(net, field)
         for plane in tape.pre_layer + tape.post_layer + [tape.out_field]:
             assert abs(plane.power - field.power) < 1e-10 * field.power
+
+
+def rebuilt(net):
+    """A freshly built network with copies of ``net``'s arrays and readout."""
+    layers = [
+        DiffractiveLayer(layer.mode, layer.phase.copy(), layer.log_amplitude.copy())
+        for layer in net.layers
+    ]
+    fresh = DiffractiveNetwork(net.grid, layers, net.spacing)
+    fresh.readout = net.readout.copy()
+    return fresh
+
+
+def edit_phase_in_place(net):
+    net.layers[0].phase[3, 4] += 0.5
+    return net
+
+
+def edit_log_amplitude_in_place(net):
+    net.layers[1].log_amplitude[5, 6] -= 0.5
+    return net
+
+
+def reassign_phase(net):
+    net.layers[1].phase = net.layers[1].phase + 0.25
+    return net
+
+
+def edit_deep_copy(net):
+    moved = copy.deepcopy(net)
+    moved.layers[0].phase[3, 4] += 0.5
+    return moved
+
+
+class TestTransmissionCache:
+    """A layer's transmission is recomputed exactly when its arrays change."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [edit_phase_in_place, edit_log_amplitude_in_place, reassign_phase, edit_deep_copy],
+    )
+    def test_edit_after_forward_is_seen(self, grid16, rng, edit):
+        net = small_net(grid16)
+        field = encode_input(random_pair(grid16, rng)[0], grid16)
+        before, _ = forward(net, field)
+        edited = edit(net)
+        after, _ = forward(edited, field)
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, forward(rebuilt(edited), field)[0])
+
+    def test_deep_copy_edit_leaves_original(self, grid16, rng):
+        net = small_net(grid16)
+        field = encode_input(random_pair(grid16, rng)[0], grid16)
+        before, _ = forward(net, field)
+        edit_deep_copy(net)
+        np.testing.assert_array_equal(forward(net, field)[0], before)
+
+    def test_training_steps_are_seen(self, grid16, rng):
+        pairs = [random_pair(grid16, rng) for _ in range(3)]
+        net = small_net(grid16)
+        field = encode_input(pairs[0][0], grid16)
+        forward(net, field)
+        train(net, pairs, epochs=2, batch=2, lr=0.01)
+        np.testing.assert_array_equal(forward(net, field)[0], forward(rebuilt(net), field)[0])
+
+    def test_unchanged_layer_returns_same_array(self):
+        layer = DiffractiveLayer("hybrid", np.full((8, 8), 0.3), np.full((8, 8), -0.1))
+        assert layer.transmission() is layer.transmission()
+        np.testing.assert_array_equal(
+            layer.transmission(), np.exp(layer.log_amplitude + 1j * layer.phase)
+        )
+
+    def test_result_is_read_only(self):
+        layer = DiffractiveLayer.identity(8)
+        with pytest.raises(ValueError):
+            layer.transmission()[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            copy.deepcopy(layer).transmission()[0, 0] = 2.0

@@ -113,6 +113,10 @@ class TestPropagate:
             rhs = np.vdot(u.values, propagate_adjoint(v, k).values)
             assert abs(lhs - rhs) < 1e-10 * abs(lhs)
 
+    def test_adjoint_kernel_is_conjugate(self, grid32):
+        k = make_kernel(grid32, 0.17)
+        np.testing.assert_array_equal(k.h_adjoint, np.conj(k.h))
+
 
 class TestLayerTransmit:
     def test_unity_transmission_identity(self, grid32, rng):

@@ -44,6 +44,17 @@ class TestTurbulenceParams:
         with pytest.raises(ConfigError):
             TurbulenceParams.from_cn2(1e-14, tau=tau)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot", ["cn2", "z", "wavelength", "eta", "epsilon"])
+    def test_rejects_non_finite(self, slot, bad):
+        with pytest.raises(ConfigError):
+            TurbulenceParams.from_cn2(**{"cn2": 1e-14, slot: bad})
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-5])
+    def test_rejects_non_positive_epsilon(self, epsilon):
+        with pytest.raises(ConfigError):
+            TurbulenceParams.from_cn2(1e-14, epsilon=epsilon)
+
     def test_zero_cn2_constructible(self):
         p = TurbulenceParams.from_cn2(0.0)
         assert p.cn2 == 0.0
