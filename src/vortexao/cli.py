@@ -22,6 +22,7 @@ import dataclasses
 
 from .dataset import (
     DatasetConfig,
+    _parse_kv,
     desk_config,
     generate_dataset,
     load_manifest,
@@ -48,30 +49,24 @@ from .pipeline import (
     zero_predictor,
 )
 from .propagation import make_kernel
-from .turbulence import ScreenRng, TurbulenceParams, make_screen, screen_variance
+from .turbulence import (
+    STANDARD_CN2_LEVELS,
+    ScreenRng,
+    TurbulenceParams,
+    make_screen,
+    screen_variance,
+)
 
-STANDARD_CN2 = (1e-15, 1e-14, 1e-13, 1e-12)
 DESK_GRID = 64
 DEFAULT_SIDE = 0.01
 DEFAULT_WAVELENGTH = 633e-9
 
 
-def _load_config_file(path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
-    return values
-
-
 def _dataset_config(args) -> DatasetConfig:
-    file_values = _load_config_file(args.config) if args.config else {}
+    file_values = {}
+    if args.config:
+        with open(args.config, "r", encoding="ascii") as fh:
+            file_values = _parse_kv(fh.read(), args.config)
 
     def pick(flag_value, key, conv, default):
         if flag_value is not None:
@@ -262,8 +257,10 @@ def _positive_int(value: str) -> int:
 def _levels_list(value: str) -> list[int]:
     indices = [int(tok) for tok in value.split(",") if tok.strip() != ""]
     for i in indices:
-        if not 0 <= i < len(STANDARD_CN2):
-            raise argparse.ArgumentTypeError(f"level index {i} out of range 0..3")
+        if not 0 <= i < len(STANDARD_CN2_LEVELS):
+            raise argparse.ArgumentTypeError(
+                f"level index {i} out of range 0..{len(STANDARD_CN2_LEVELS) - 1}"
+            )
     return indices
 
 

@@ -32,6 +32,7 @@ from (base_seed, sample id).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -50,8 +51,8 @@ from .field import (
     make_vortex_beam,
     normalize_image,
 )
-from .images import atomic_write_bytes, export_pgm, import_pgm
-from .propagation import make_kernel, propagate
+from .images import atomic_write_bytes, export_pgm, parse_pgm
+from .propagation import PropagationKernel, make_kernel, propagate
 from .turbulence import ScreenRng, TurbulenceParams, make_screen, screen_variance, standard_levels
 
 MANIFEST_NAME = "manifest.txt"
@@ -205,18 +206,40 @@ def level_of_id(config: DatasetConfig, sample_id: int) -> int:
     return sample_id // config.count_per_level
 
 
+@functools.lru_cache(maxsize=2)
+def _beam_and_kernel(
+    grid: GridSpec, ell: int, waist: float, z_obs: float
+) -> tuple[ComplexField, PropagationKernel]:
+    """The config's vortex beam and screen-to-receiver kernel, built once.
+
+    Memoized on exactly the values they depend on; every array is read-only
+    so no caller can corrupt a later synthesis. The public builders stay
+    uncached and hand out fresh, writeable arrays.
+    """
+    beam = make_vortex_beam(grid, ell, waist)
+    kernel = make_kernel(grid, z_obs)
+    for arr in (beam.values, kernel.h, kernel.h_adjoint):
+        arr.flags.writeable = False
+    return beam, kernel
+
+
+def _synthesize(
+    config: DatasetConfig, sample_id: int, to_receiver: bool
+) -> tuple[PhaseScreen, ComplexField, ComplexField | None]:
+    level = level_of_id(config, sample_id)
+    rng = ScreenRng(sample_seed(config.base_seed, sample_id))
+    screen = make_screen(config.levels[level], config.grid, rng)
+    beam, kernel = _beam_and_kernel(config.grid, config.ell, config.waist, config.z_obs)
+    at_screen = apply_phase(beam, screen)
+    receiver = propagate(at_screen, kernel) if to_receiver else None
+    return screen, at_screen, receiver
+
+
 def synthesize_fields(
     config: DatasetConfig, sample_id: int
 ) -> tuple[PhaseScreen, ComplexField, ComplexField]:
     """Regenerate (screen, field at screen plane, field at receiver) for an id."""
-    level = level_of_id(config, sample_id)
-    rng = ScreenRng(sample_seed(config.base_seed, sample_id))
-    screen = make_screen(config.levels[level], config.grid, rng)
-    beam = make_vortex_beam(config.grid, config.ell, config.waist)
-    at_screen = apply_phase(beam, screen)
-    kernel = make_kernel(config.grid, config.z_obs)
-    receiver = propagate(at_screen, kernel)
-    return screen, at_screen, receiver
+    return _synthesize(config, sample_id, to_receiver=True)
 
 
 def encoding_range(params: TurbulenceParams, grid: GridSpec) -> tuple[float, float]:
@@ -226,9 +249,12 @@ def encoding_range(params: TurbulenceParams, grid: GridSpec) -> tuple[float, flo
 
 
 def observed_intensity(
-    at_screen: ComplexField, receiver: ComplexField, observation: str
+    at_screen: ComplexField, receiver: ComplexField | None, observation: str
 ) -> np.ndarray:
-    """The raw camera image for a given observation mode."""
+    """The raw camera image for a given observation mode.
+
+    ``fourier`` reads only ``at_screen``, so ``receiver`` may be None there.
+    """
     if observation == "fourier":
         spectrum = np.fft.fftshift(np.fft.fft2(at_screen.values, norm="ortho"))
         return np.abs(spectrum) ** 2
@@ -241,7 +267,9 @@ def synthesize_sample(config: DatasetConfig, sample_id: int) -> Sample:
     """Build one sample in memory; deterministic in (base_seed, id)."""
     level = level_of_id(config, sample_id)
     lo, hi = encoding_range(config.levels[level], config.grid)
-    screen, at_screen, receiver = synthesize_fields(config, sample_id)
+    screen, at_screen, receiver = _synthesize(
+        config, sample_id, to_receiver=config.observation == "free"
+    )
     img = observed_intensity(at_screen, receiver, config.observation)
     if not np.all(np.isfinite(img)):
         raise DomainError(
@@ -352,14 +380,18 @@ def _render_manifest(manifest: Manifest) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_kv(text: str) -> dict[str, str]:
+def _parse_kv(text: str, source) -> dict[str, str]:
+    """Parse flat ``key = value`` lines; ``#`` starts a comment line.
+
+    ``source`` names the text's origin in errors, as ``source:line``.
+    """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"manifest line {lineno} is not 'key = value': {raw!r}")
+            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
         entries[key.strip()] = value.strip()
     return entries
@@ -371,7 +403,7 @@ def load_manifest(root) -> Manifest:
     if not os.path.exists(path):
         raise ConfigError(f"no manifest at {path}")
     with open(path, "r", encoding="ascii") as fh:
-        entries = _parse_kv(fh.read())
+        entries = _parse_kv(fh.read(), path)
     try:
         grid = GridSpec(
             int(entries["grid_n"]), float(entries["grid_dx"]), float(entries["wavelength"])
@@ -413,6 +445,18 @@ def load_manifest(root) -> Manifest:
     return Manifest(config, encodings, hashes)
 
 
+def _read_verified(manifest: Manifest, root: str, rel: str) -> np.ndarray:
+    """Read a sample file once, check its sha256, and parse those same bytes."""
+    if rel not in manifest.hashes:
+        raise CorruptSampleError(f"{rel} not recorded in the manifest")
+    path = os.path.join(root, rel)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if hashlib.sha256(data).hexdigest() != manifest.hashes[rel]:
+        raise CorruptSampleError(f"{rel}: sha256 mismatch, file corrupted")
+    return parse_pgm(data, path)
+
+
 def load_split(
     manifest: Manifest, split: str, root, level_index: int | None = None
 ) -> list[Sample]:
@@ -423,20 +467,13 @@ def load_split(
     for sid in sample_ids(config, split, level_index):
         level = level_of_id(config, sid)
         rel_x, rel_y = _relpaths(config, sid)
-        for rel in (rel_x, rel_y):
-            path = os.path.join(root, rel)
-            if rel not in manifest.hashes:
-                raise CorruptSampleError(f"{rel} not recorded in the manifest")
-            digest = _sha256_file(path)
-            if digest != manifest.hashes[rel]:
-                raise CorruptSampleError(f"{rel}: sha256 mismatch, file corrupted")
         samples.append(
             Sample(
                 id=sid,
                 level_index=level,
                 seed=sample_seed(config.base_seed, sid),
-                distorted_img=import_pgm(os.path.join(root, rel_x)),
-                gt_screen_img=import_pgm(os.path.join(root, rel_y)),
+                distorted_img=_read_verified(manifest, root, rel_x),
+                gt_screen_img=_read_verified(manifest, root, rel_y),
                 encoding=manifest.encodings[level],
             )
         )

@@ -48,11 +48,18 @@ def export_pgm(img: np.ndarray, path) -> None:
 def import_pgm(path) -> np.ndarray:
     """Read a 16-bit binary PGM back to a float image in [0, 1]."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        return parse_pgm(fh.read(), path)
+
+
+def parse_pgm(data: bytes, source) -> np.ndarray:
+    """Parse the bytes of a 16-bit binary PGM to a float image in [0, 1].
+
+    ``source`` names the bytes' origin, usually the file path, in errors.
+    """
     pos = 0
 
     def fail(msg):
-        raise PgmParseError(f"{path}: {msg} at byte {pos}")
+        raise PgmParseError(f"{source}: {msg} at byte {pos}")
 
     def skip_space():
         nonlocal pos

@@ -88,6 +88,9 @@ class DiffractiveLayer:
         self.log_amplitude = np.asarray(self.log_amplitude, dtype=np.float64)
         if self.phase.shape != self.log_amplitude.shape:
             raise GridMismatchError("phase and log_amplitude shapes differ")
+        for name in ("phase", "log_amplitude"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"layer {name} contains non-finite entries")
         if np.any(self.log_amplitude > 0):
             raise ConfigError("log_amplitude must be <= 0 (passive layer)")
         # (phase, log_amplitude, t) of the last transmission() computation
@@ -600,10 +603,13 @@ def load_checkpoint(path) -> TrainState:
         return arr
 
     layers = []
-    for _ in range(n_layers):
+    for i in range(n_layers):
         phase = read_array()
         log_amp = read_array()
-        layers.append(DiffractiveLayer(mode, phase, log_amp))
+        try:
+            layers.append(DiffractiveLayer(mode, phase, log_amp))
+        except ConfigError as exc:
+            raise CheckpointError(f"{path}: layer {i}: {exc}") from exc
     grid = GridSpec(n, dx, wavelength)
     net = DiffractiveNetwork(grid, layers, spacing)
     m, v = [], []

@@ -16,6 +16,7 @@ phase spectrum on the discrete frequency grid and Fourier transforming.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -162,13 +163,20 @@ def _kappa_grid(grid: GridSpec) -> np.ndarray:
     return np.hypot(kx, ky)
 
 
+# room for the four standard levels of one grid
+@functools.lru_cache(maxsize=4)
 def _spectral_amplitude(params: TurbulenceParams, grid: GridSpec) -> np.ndarray:
-    """Per-mode amplitude ``dkappa * sqrt(Phi)`` with the kappa=0 bin zeroed."""
+    """Per-mode amplitude ``dkappa * sqrt(Phi)`` with the kappa=0 bin zeroed.
+
+    Memoized on ``(params, grid)``, both frozen value types, so every screen
+    and variance of a level shares one computation; the array is read-only.
+    """
     kappa = _kappa_grid(grid)
     dk = 2.0 * np.pi / (grid.n * grid.dx)
     amp = np.zeros_like(kappa)
     mask = kappa > 0  # piston bin is unobservable and the spectrum diverges there
     amp[mask] = dk * np.sqrt(phase_spectrum(params, kappa[mask]))
+    amp.flags.writeable = False
     return amp
 
 

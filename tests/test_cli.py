@@ -78,6 +78,13 @@ class TestGenDataset:
         assert "base_seed = 3" in text  # flag wins over file
         assert "count_per_level = 4" in text
 
+    def test_config_file_error_names_path_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# comment\ncount_per_level = 4\ntrain_per_level 2\n")
+        rc = main(["gen-dataset", "--out", str(tmp_path / "data"), "--config", str(cfg)])
+        assert rc == 1
+        assert f"{cfg}:3:" in capsys.readouterr().err
+
 
 class TestTrainEval:
     def test_train_writes_checkpoints_and_loss_csv(self, cli_dataset, tmp_path):

@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
@@ -6,19 +10,32 @@ from vortexao import (
     CorruptSampleError,
     DatasetConfig,
     GridSpec,
+    PgmParseError,
     ScreenRng,
     TurbulenceParams,
+    apply_phase,
     decode_screen,
     encode_screen,
     generate_dataset,
     load_manifest,
     load_split,
+    make_kernel,
     make_screen,
+    make_vortex_beam,
+    normalize_image,
+    propagate,
     screen_variance,
     synthesize_fields,
     synthesize_sample,
 )
-from vortexao.dataset import encoding_range, sample_seed
+from vortexao import dataset, turbulence
+from vortexao.dataset import (
+    OBSERVATIONS,
+    encoding_range,
+    level_of_id,
+    observed_intensity,
+    sample_seed,
+)
 
 
 @pytest.fixture(scope="module")
@@ -201,3 +218,102 @@ class TestObservationModes:
         generate_dataset(tiny_config, serial, workers=1)
         generate_dataset(tiny_config, parallel, workers=4)
         assert (serial / "manifest.txt").read_bytes() == (parallel / "manifest.txt").read_bytes()
+
+
+def _variants(config):
+    """Configs that each differ from ``config`` in one synthesis input."""
+    g = config.grid
+    return {
+        "waist": dataclasses.replace(config, waist=1.5e-3),
+        "z_obs": dataclasses.replace(config, z_obs=0.3),
+        "ell": dataclasses.replace(config, ell=2),
+        "dx": dataclasses.replace(config, grid=GridSpec(g.n, 0.012 / g.n, g.wavelength)),
+        "levels": dataclasses.replace(
+            config, levels=tuple(dataclasses.replace(p, eta=4e-3) for p in config.levels)
+        ),
+    }
+
+
+def _from_public_builders(config, sample_id):
+    """Screen, fields, image and encoding rebuilt without any cached constant."""
+    turbulence._spectral_amplitude.cache_clear()
+    params = config.levels[level_of_id(config, sample_id)]
+    screen = make_screen(params, config.grid, ScreenRng(sample_seed(config.base_seed, sample_id)))
+    at_screen = apply_phase(make_vortex_beam(config.grid, config.ell, config.waist), screen)
+    receiver = propagate(at_screen, make_kernel(config.grid, config.z_obs))
+    img = normalize_image(observed_intensity(at_screen, receiver, config.observation))
+    sigma = np.sqrt(screen_variance(params, config.grid))
+    lo, hi = -4.0 * sigma, 4.0 * sigma
+    return screen, at_screen, receiver, img, encode_screen(screen.phase, lo, hi), (lo, hi)
+
+
+class TestSynthesisCaches:
+    @pytest.mark.parametrize("observation", OBSERVATIONS)
+    @pytest.mark.parametrize("changed", ["waist", "z_obs", "ell", "dx", "levels"])
+    def test_matches_public_builders(self, tiny_config, changed, observation):
+        base = dataclasses.replace(tiny_config, observation=observation)
+        variant = _variants(base)[changed]
+        for config in (base, variant, base):  # a cache keyed too coarsely serves the other
+            sample = synthesize_sample(config, 9)
+            fields = synthesize_fields(config, 9)
+            screen, at_screen, receiver, img, gt, encoding = _from_public_builders(config, 9)
+            np.testing.assert_array_equal(fields[0].phase, screen.phase)
+            np.testing.assert_array_equal(fields[1].values, at_screen.values)
+            np.testing.assert_array_equal(fields[2].values, receiver.values)
+            np.testing.assert_array_equal(sample.distorted_img, img)
+            np.testing.assert_array_equal(sample.gt_screen_img, gt)
+            assert sample.encoding == encoding
+
+    def test_variants_change_the_sample(self, tiny_config):
+        # otherwise the test above could pass on a cache that ignores the key
+        free = dataclasses.replace(tiny_config, observation="free")
+        base = synthesize_sample(free, 9)
+        for name, config in _variants(free).items():
+            img = synthesize_sample(config, 9).distorted_img
+            assert not np.array_equal(img, base.distorted_img), name
+
+    def test_cached_arrays_are_read_only(self, tiny_config):
+        c = tiny_config
+        synthesize_sample(c, 0)
+        beam, kernel = dataset._beam_and_kernel(c.grid, c.ell, c.waist, c.z_obs)
+        amp = turbulence._spectral_amplitude(c.levels[0], c.grid)
+        for arr in (beam.values, kernel.h, kernel.h_adjoint, amp):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_public_builders_return_fresh_arrays(self, tiny_config):
+        config = dataclasses.replace(tiny_config, observation="free")
+        before = synthesize_sample(config, 9)
+        beam = make_vortex_beam(config.grid, config.ell, config.waist)
+        kernel = make_kernel(config.grid, config.z_obs)
+        beam.values[...] *= 2.0
+        kernel.h[:] = 0.0
+        kernel.h_adjoint[:] = 0.0
+        after = synthesize_sample(config, 9)
+        np.testing.assert_array_equal(after.distorted_img, before.distorted_img)
+        np.testing.assert_array_equal(after.gt_screen_img, before.gt_screen_img)
+
+
+class TestLoadReadsOnce:
+    def test_each_file_opened_once(self, tiny_dataset, monkeypatch):
+        root, manifest = tiny_dataset
+        opened = []
+        real_open = open
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(os.fspath(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(dataset, "open", counting_open, raising=False)
+        samples = load_split(manifest, "train", root)
+        assert len(opened) == 2 * len(samples)
+        assert len(set(opened)) == len(opened)
+
+    def test_parse_error_names_the_path(self, tiny_config, tmp_path):
+        manifest = generate_dataset(tiny_config, tmp_path)
+        victim = tmp_path / "test" / "4_y.pgm"
+        bad = b"P6\n4 4\n65535\n" + b"\x00" * 32
+        victim.write_bytes(bad)
+        manifest.hashes["test/4_y.pgm"] = hashlib.sha256(bad).hexdigest()
+        with pytest.raises(PgmParseError, match="4_y.pgm"):
+            load_split(manifest, "test", tmp_path)

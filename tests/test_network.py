@@ -1,4 +1,5 @@
 import copy
+import struct
 
 import numpy as np
 import pytest
@@ -412,6 +413,20 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("array", range(4))
+    def test_non_finite_layer_array_rejected(self, grid16, tmp_path, array):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, TrainState(small_net(grid16)))
+        data = bytearray(path.read_bytes())
+        # the layer arrays follow the 8-byte magic and the fixed header, phase
+        # then log-amplitude for each layer
+        header = 8 + struct.calcsize("<IIdddIB")
+        pos = header + array * 16 * 16 * 8 + 8 * 37
+        data[pos : pos + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="model.ckpt"):
+            load_checkpoint(path)
+
     def test_mode_preserved(self, grid16, tmp_path):
         net = small_net(grid16, mode="phase")
         path = tmp_path / "p.ckpt"
@@ -432,6 +447,14 @@ class TestLayerInvariants:
     def test_rejects_positive_log_amplitude(self):
         with pytest.raises(ConfigError):
             DiffractiveLayer("hybrid", np.zeros((8, 8)), np.full((8, 8), 0.1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot", ["phase", "log_amplitude"])
+    def test_rejects_non_finite_arrays(self, slot, bad):
+        arrays = {"phase": np.zeros((8, 8)), "log_amplitude": np.zeros((8, 8))}
+        arrays[slot][3, 5] = bad
+        with pytest.raises(ConfigError, match=slot):
+            DiffractiveLayer("hybrid", **arrays)
 
     @pytest.mark.parametrize("spacing", [np.nan, np.inf, -np.inf])
     def test_network_rejects_non_finite_spacing(self, grid16, spacing):
