@@ -22,7 +22,8 @@ import dataclasses
 
 from .dataset import (
     DatasetConfig,
-    _parse_kv,
+    _kv_value,
+    _read_kv_file,
     desk_config,
     generate_dataset,
     load_manifest,
@@ -63,16 +64,13 @@ DEFAULT_WAVELENGTH = 633e-9
 
 
 def _dataset_config(args) -> DatasetConfig:
-    file_values = {}
-    if args.config:
-        with open(args.config, "r", encoding="ascii") as fh:
-            file_values = _parse_kv(fh.read(), args.config)
+    file_values = _read_kv_file(args.config) if args.config else {}
 
     def pick(flag_value, key, conv, default):
         if flag_value is not None:
             return flag_value
         if key in file_values:
-            return conv(file_values[key])
+            return _kv_value(file_values, key, conv, args.config)
         return default
 
     base = paper_config() if args.paper_scale else desk_config()
@@ -81,8 +79,8 @@ def _dataset_config(args) -> DatasetConfig:
     default_train = base.train_per_level if count == base.count_per_level else (count * 5) // 6
     train_count = pick(args.train_count, "train_per_level", int, default_train)
     seed = pick(args.seed, "base_seed", int, base.base_seed)
-    side = float(file_values.get("grid_side", base.grid.side))
-    wavelength = float(file_values.get("wavelength", base.grid.wavelength))
+    side = pick(None, "grid_side", float, base.grid.side)
+    wavelength = pick(None, "wavelength", float, base.grid.wavelength)
     grid = GridSpec(grid_n, side / grid_n, wavelength)
     level_indices = args.levels if args.levels is not None else list(range(len(base.levels)))
     levels = tuple(base.levels[i] for i in level_indices)
@@ -92,9 +90,9 @@ def _dataset_config(args) -> DatasetConfig:
         levels=levels,
         count_per_level=count,
         train_per_level=train_count,
-        ell=int(file_values.get("ell", base.ell)),
-        waist=float(file_values.get("waist", base.waist)),
-        z_obs=float(file_values.get("z_obs", base.z_obs)),
+        ell=pick(None, "ell", int, base.ell),
+        waist=pick(None, "waist", float, base.waist),
+        z_obs=pick(None, "z_obs", float, base.z_obs),
         base_seed=seed,
         observation=args.observation or file_values.get("observation", base.observation),
     )

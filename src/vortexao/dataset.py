@@ -36,6 +36,7 @@ import functools
 import hashlib
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -51,7 +52,7 @@ from .field import (
     make_vortex_beam,
     normalize_image,
 )
-from .images import atomic_write_bytes, export_pgm, parse_pgm
+from .images import PGM_MAXVAL, atomic_write_bytes, parse_pgm, pgm_bytes, quantize_image
 from .propagation import PropagationKernel, make_kernel, propagate
 from .turbulence import ScreenRng, TurbulenceParams, make_screen, screen_variance, standard_levels
 
@@ -91,14 +92,29 @@ def decode_screen(img: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Sample:
-    """One dataset element, images in [0, 1]."""
+    """One dataset element, its two images held as the 16-bit PGM levels.
+
+    A level ``L`` stands for the image value ``L / 65535``. The float views
+    ``distorted_img`` and ``gt_screen_img`` are decoded on each access and
+    equal, bit for bit, what ``import_pgm`` reads from the stored file.
+    """
 
     id: int
     level_index: int
     seed: int
-    distorted_img: np.ndarray
-    gt_screen_img: np.ndarray
+    distorted_levels: np.ndarray
+    gt_screen_levels: np.ndarray
     encoding: tuple[float, float]
+
+    @property
+    def distorted_img(self) -> np.ndarray:
+        """The distorted-beam intensity, float64 in [0, 1]."""
+        return self.distorted_levels / PGM_MAXVAL
+
+    @property
+    def gt_screen_img(self) -> np.ndarray:
+        """The encoded ground-truth phase screen, float64 in [0, 1]."""
+        return self.gt_screen_levels / PGM_MAXVAL
 
 
 @dataclass(frozen=True)
@@ -264,7 +280,11 @@ def observed_intensity(
 
 
 def synthesize_sample(config: DatasetConfig, sample_id: int) -> Sample:
-    """Build one sample in memory; deterministic in (base_seed, id)."""
+    """Build one sample in memory; deterministic in (base_seed, id).
+
+    Its images are quantized as ``export_pgm`` quantizes them, so the sample
+    equals, bit for bit, the one ``load_split`` reads back from its files.
+    """
     level = level_of_id(config, sample_id)
     lo, hi = encoding_range(config.levels[level], config.grid)
     screen, at_screen, receiver = _synthesize(
@@ -280,8 +300,8 @@ def synthesize_sample(config: DatasetConfig, sample_id: int) -> Sample:
         id=sample_id,
         level_index=level,
         seed=sample_seed(config.base_seed, sample_id),
-        distorted_img=normalize_image(img),
-        gt_screen_img=encode_screen(screen.phase, lo, hi),
+        distorted_levels=quantize_image(normalize_image(img)),
+        gt_screen_levels=quantize_image(encode_screen(screen.phase, lo, hi)),
         encoding=(lo, hi),
     )
 
@@ -294,13 +314,6 @@ def _split_of_id(config: DatasetConfig, sample_id: int) -> str:
 def _relpaths(config: DatasetConfig, sample_id: int) -> tuple[str, str]:
     split = _split_of_id(config, sample_id)
     return (f"{split}/{sample_id}_x.pgm", f"{split}/{sample_id}_y.pgm")
-
-
-def _sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
 
 
 def generate_dataset(config: DatasetConfig, out_dir, workers: int | None = None) -> Manifest:
@@ -319,17 +332,16 @@ def generate_dataset(config: DatasetConfig, out_dir, workers: int | None = None)
 
     all_ids = list(range(config.count_per_level * len(config.levels)))
 
-    def emit(sample_id: int) -> tuple[str, str, str, str]:
+    def emit(sample_id: int) -> list[tuple[str, str]]:
+        """Write the sample's two files; their paths and the sha256 of the bytes written."""
         sample = synthesize_sample(config, sample_id)
-        rel_x, rel_y = _relpaths(config, sample_id)
-        export_pgm(sample.distorted_img, os.path.join(out_dir, rel_x))
-        export_pgm(sample.gt_screen_img, os.path.join(out_dir, rel_y))
-        return (
-            rel_x,
-            _sha256_file(os.path.join(out_dir, rel_x)),
-            rel_y,
-            _sha256_file(os.path.join(out_dir, rel_y)),
-        )
+        written = []
+        levels = (sample.distorted_levels, sample.gt_screen_levels)
+        for rel, lv in zip(_relpaths(config, sample_id), levels):
+            data = pgm_bytes(lv)
+            atomic_write_bytes(os.path.join(out_dir, rel), data)
+            written.append((rel, hashlib.sha256(data).hexdigest()))
+        return written
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -337,10 +349,7 @@ def generate_dataset(config: DatasetConfig, out_dir, workers: int | None = None)
     else:
         results = [emit(i) for i in all_ids]
 
-    hashes: dict[str, str] = {}
-    for rel_x, hx, rel_y, hy in results:
-        hashes[rel_x] = hx
-        hashes[rel_y] = hy
+    hashes = dict(entry for written in results for entry in written)
     encodings = [encoding_range(p, config.grid) for p in config.levels]
     manifest = Manifest(config, encodings, hashes)
     atomic_write_bytes(
@@ -397,42 +406,66 @@ def _parse_kv(text: str, source) -> dict[str, str]:
     return entries
 
 
+def _read_kv_file(path) -> dict[str, str]:
+    """Read and parse a ``key = value`` file; a non-ASCII byte is a ConfigError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start)
+        bad = data.split(b"\n")[lineno].decode("ascii", "backslashreplace")
+        raise ConfigError(f"{path}:{lineno + 1}: non-ASCII byte in {bad!r}") from None
+    return _parse_kv(text, path)
+
+
+def _kv_value(entries: dict[str, str], key: str, conv, source):
+    """``conv(entries[key])``; a value ``conv`` rejects is a ConfigError naming source and key."""
+    try:
+        return conv(entries[key])
+    except ValueError:
+        raise ConfigError(
+            f"{source}: {key} = {entries[key]!r} is not a valid {conv.__name__}"
+        ) from None
+
+
 def load_manifest(root) -> Manifest:
     """Parse the manifest under a dataset root directory."""
     path = os.path.join(os.fspath(root), MANIFEST_NAME)
     if not os.path.exists(path):
         raise ConfigError(f"no manifest at {path}")
-    with open(path, "r", encoding="ascii") as fh:
-        entries = _parse_kv(fh.read(), path)
+    entries = _read_kv_file(path)
+
+    def value(key: str, conv=float):
+        return _kv_value(entries, key, conv, path)
+
     try:
-        grid = GridSpec(
-            int(entries["grid_n"]), float(entries["grid_dx"]), float(entries["wavelength"])
-        )
-        n_levels = int(entries["levels"])
+        grid = GridSpec(value("grid_n", int), value("grid_dx"), value("wavelength"))
+        n_levels = value("levels", int)
         levels = []
         encodings = []
         for i in range(n_levels):
             levels.append(
                 TurbulenceParams(
-                    cn2=float(entries[f"level{i}.cn2"]),
-                    epsilon=float(entries[f"level{i}.epsilon"]),
-                    chi_t=float(entries[f"level{i}.chi_t"]),
-                    tau=float(entries[f"level{i}.tau"]),
-                    eta=float(entries[f"level{i}.eta"]),
-                    z=float(entries[f"level{i}.z"]),
-                    k0=float(entries[f"level{i}.k0"]),
+                    cn2=value(f"level{i}.cn2"),
+                    epsilon=value(f"level{i}.epsilon"),
+                    chi_t=value(f"level{i}.chi_t"),
+                    tau=value(f"level{i}.tau"),
+                    eta=value(f"level{i}.eta"),
+                    z=value(f"level{i}.z"),
+                    k0=value(f"level{i}.k0"),
                 )
             )
-            encodings.append((float(entries[f"level{i}.lo"]), float(entries[f"level{i}.hi"])))
+            encodings.append((value(f"level{i}.lo"), value(f"level{i}.hi")))
         config = DatasetConfig(
             grid=grid,
             levels=tuple(levels),
-            count_per_level=int(entries["count_per_level"]),
-            train_per_level=int(entries["train_per_level"]),
-            ell=int(entries["ell"]),
-            waist=float(entries["waist"]),
-            z_obs=float(entries["z_obs"]),
-            base_seed=int(entries["base_seed"]),
+            count_per_level=value("count_per_level", int),
+            train_per_level=value("train_per_level", int),
+            ell=value("ell", int),
+            waist=value("waist"),
+            z_obs=value("z_obs"),
+            base_seed=value("base_seed", int),
             observation=entries.get("observation", "fourier"),
         )
     except KeyError as exc:
@@ -446,7 +479,7 @@ def load_manifest(root) -> Manifest:
 
 
 def _read_verified(manifest: Manifest, root: str, rel: str) -> np.ndarray:
-    """Read a sample file once, check its sha256, and parse those same bytes."""
+    """Read a sample file once, check its sha256, and parse those same bytes to levels."""
     if rel not in manifest.hashes:
         raise CorruptSampleError(f"{rel} not recorded in the manifest")
     path = os.path.join(root, rel)
@@ -472,14 +505,34 @@ def load_split(
                 id=sid,
                 level_index=level,
                 seed=sample_seed(config.base_seed, sid),
-                distorted_img=_read_verified(manifest, root, rel_x),
-                gt_screen_img=_read_verified(manifest, root, rel_y),
+                distorted_levels=_read_verified(manifest, root, rel_x),
+                gt_screen_levels=_read_verified(manifest, root, rel_y),
                 encoding=manifest.encodings[level],
             )
         )
     return samples
 
 
-def training_pairs(samples: list[Sample]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(distorted intensity, encoded screen) pairs in sample order."""
-    return [(s.distorted_img, s.gt_screen_img) for s in samples]
+class TrainingPairs(Sequence):
+    """Read-only (distorted intensity, encoded screen) float pairs in sample order.
+
+    Holds only the samples' 16-bit levels; a pair is decoded to float64
+    each time it is indexed.
+    """
+
+    def __init__(self, samples):
+        self._samples = tuple(samples)
+
+    def __len__(self) -> int:
+        return len(self._samples)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return TrainingPairs(self._samples[index])
+        sample = self._samples[index]
+        return sample.distorted_img, sample.gt_screen_img
+
+
+def training_pairs(samples: list[Sample]) -> TrainingPairs:
+    """(distorted intensity, encoded screen) pairs in sample order, decoded when indexed."""
+    return TrainingPairs(samples)

@@ -2,7 +2,8 @@
 
 PGM files are written as binary P5 with maxval 65535, row-major,
 big-endian sample order (the portable-graymap convention for two-byte
-samples). Values round-trip to within one 16-bit quantum.
+samples). Values round-trip to within one 16-bit quantum: a level L
+stands for the float ``L / 65535``.
 """
 
 from __future__ import annotations
@@ -32,27 +33,38 @@ def atomic_write_bytes(path, data: bytes) -> None:
         raise
 
 
-def export_pgm(img: np.ndarray, path) -> None:
-    """Write an image with values in [0, 1] as a 16-bit binary PGM."""
+def quantize_image(img: np.ndarray) -> np.ndarray:
+    """The 16-bit levels ``rint(img * 65535)`` of a 2-d image with values in [0, 1]."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise DomainError(f"expected a 2-d image, got shape {img.shape}")
-    if img.min() < 0 or img.max() > 1:
+    if not (img.min() >= 0 and img.max() <= 1):  # also rejects NaN
         raise DomainError("image values must lie in [0, 1] for PGM export")
-    h, w = img.shape
+    return np.rint(img * PGM_MAXVAL).astype(np.uint16)
+
+
+def pgm_bytes(levels: np.ndarray) -> bytes:
+    """The bytes of a 16-bit binary PGM holding 2-d ``uint16`` levels."""
+    if levels.dtype != np.uint16 or levels.ndim != 2:
+        raise DomainError(f"expected 2-d uint16 levels, got {levels.dtype} {levels.shape}")
+    h, w = levels.shape
     header = f"P5\n{w} {h}\n{PGM_MAXVAL}\n".encode("ascii")
-    samples = np.rint(img * PGM_MAXVAL).astype(">u2")
-    atomic_write_bytes(path, header + samples.tobytes())
+    return header + levels.astype(">u2").tobytes()
+
+
+def export_pgm(img: np.ndarray, path) -> None:
+    """Write an image with values in [0, 1] as a 16-bit binary PGM."""
+    atomic_write_bytes(path, pgm_bytes(quantize_image(img)))
 
 
 def import_pgm(path) -> np.ndarray:
     """Read a 16-bit binary PGM back to a float image in [0, 1]."""
     with open(path, "rb") as fh:
-        return parse_pgm(fh.read(), path)
+        return parse_pgm(fh.read(), path) / PGM_MAXVAL
 
 
 def parse_pgm(data: bytes, source) -> np.ndarray:
-    """Parse the bytes of a 16-bit binary PGM to a float image in [0, 1].
+    """Parse the bytes of a 16-bit binary PGM to its ``uint16`` levels.
 
     ``source`` names the bytes' origin, usually the file path, in errors.
     """
@@ -61,14 +73,18 @@ def parse_pgm(data: bytes, source) -> np.ndarray:
     def fail(msg):
         raise PgmParseError(f"{source}: {msg} at byte {pos}")
 
+    # no nested function may refer to itself: that reference cycle would keep
+    # ``data`` alive after the return until the cyclic garbage collector runs
     def skip_space():
         nonlocal pos
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":  # comment to end of line
-            while pos < len(data) and data[pos] != 0x0A:
+        while pos < len(data):
+            if data[pos : pos + 1].isspace():
                 pos += 1
-            skip_space()
+            elif data[pos : pos + 1] == b"#":  # comment to end of line
+                while pos < len(data) and data[pos] != 0x0A:
+                    pos += 1
+            else:
+                break
 
     def token():
         nonlocal pos
@@ -90,13 +106,14 @@ def parse_pgm(data: bytes, source) -> np.ndarray:
         fail("non-numeric header field")
     if maxval != PGM_MAXVAL:
         fail(f"unsupported maxval {maxval}, expected {PGM_MAXVAL}")
+    if w < 1 or h < 1:
+        fail(f"non-positive image size {w} x {h}")
     pos += 1  # single whitespace byte after maxval
     expected = w * h * 2
-    raw = data[pos : pos + expected]
-    if len(raw) != expected:
+    if len(data) - pos < expected:
         fail(f"truncated pixel data, expected {expected} bytes")
-    samples = np.frombuffer(raw, dtype=">u2").reshape(h, w)
-    return samples.astype(np.float64) / PGM_MAXVAL
+    samples = np.frombuffer(data, dtype=">u2", count=w * h, offset=pos)
+    return samples.reshape(h, w).astype(np.uint16)
 
 
 def bilinear_sample(values: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

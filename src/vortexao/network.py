@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -433,7 +434,7 @@ def adam_step(state: TrainState, gradients: list[LayerGradients]) -> TrainState:
 
 def train(
     net: DiffractiveNetwork,
-    pairs: list[tuple[np.ndarray, np.ndarray]],
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     epochs: int,
     batch: int = 32,
     lr: float = 0.01,
@@ -442,7 +443,8 @@ def train(
 ) -> tuple[TrainState, list[float]]:
     """Shuffled mini-batch training with Adam.
 
-    ``pairs`` holds (input image, target image) arrays in [0, 1]. Batch
+    ``pairs`` is a sequence of (input image, target image) arrays in [0, 1],
+    such as ``training_pairs``, which decodes a pair when it is indexed. Batch
     gradients are sample means accumulated in a fixed order, so identical
     seeds reproduce identical loss curves. Returns the train state and the
     per-epoch mean sample loss. ``on_epoch(epoch, state, loss)`` runs after
@@ -462,7 +464,6 @@ def train(
         if y_img.shape != (n, n):
             raise GridMismatchError("dataset image shapes do not match the network grid")
 
-    targets = [np.asarray(y, dtype=np.float64) for _, y in pairs]
     state = TrainState(net, lr=lr)
     rng = np.random.Generator(np.random.PCG64(shuffle_seed))
     losses: list[float] = []
@@ -473,9 +474,11 @@ def train(
             idx = order[start : start + batch]
             acc: Gradients | None = None
             for j in idx:
-                output, tape = forward(net, encode_input(pairs[j][0], net.grid))
-                epoch_loss += loss_mse(output, targets[j])
-                grads = backward(net, tape, output, targets[j])
+                x_img, y_img = pairs[j]  # a lazy sequence decodes the pair here, once
+                target = np.asarray(y_img, dtype=np.float64)
+                output, tape = forward(net, encode_input(x_img, net.grid))
+                epoch_loss += loss_mse(output, target)
+                grads = backward(net, tape, output, target)
                 if acc is None:
                     acc = grads
                 else:

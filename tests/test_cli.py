@@ -86,6 +86,21 @@ class TestGenDataset:
         assert f"{cfg}:3:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [(b"grid_n = abc\n", "grid_n"), (b"count_per_level = 4\xe9\n", "count_per_level")],
+    )
+    def test_config_file_bad_value_exits_1(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"# comment\n" + text)
+        rc = main(["gen-dataset", "--out", str(tmp_path / "data"), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ")
+        assert str(cfg) in err and key in err
+        assert not (tmp_path / "data").exists()
+
+
 class TestTrainEval:
     def test_train_writes_checkpoints_and_loss_csv(self, cli_dataset, tmp_path):
         out = tmp_path / "run"

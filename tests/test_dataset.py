@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from vortexao import (
     ConfigError,
     CorruptSampleError,
     DatasetConfig,
+    DiffractiveNetwork,
     GridSpec,
     PgmParseError,
     ScreenRng,
@@ -17,6 +19,7 @@ from vortexao import (
     decode_screen,
     encode_screen,
     generate_dataset,
+    import_pgm,
     load_manifest,
     load_split,
     make_kernel,
@@ -27,10 +30,13 @@ from vortexao import (
     screen_variance,
     synthesize_fields,
     synthesize_sample,
+    train,
+    training_pairs,
 )
 from vortexao import dataset, turbulence
 from vortexao.dataset import (
     OBSERVATIONS,
+    desk_config,
     encoding_range,
     level_of_id,
     observed_intensity,
@@ -260,8 +266,8 @@ class TestSynthesisCaches:
             np.testing.assert_array_equal(fields[0].phase, screen.phase)
             np.testing.assert_array_equal(fields[1].values, at_screen.values)
             np.testing.assert_array_equal(fields[2].values, receiver.values)
-            np.testing.assert_array_equal(sample.distorted_img, img)
-            np.testing.assert_array_equal(sample.gt_screen_img, gt)
+            np.testing.assert_array_equal(sample.distorted_img, np.rint(img * 65535) / 65535)
+            np.testing.assert_array_equal(sample.gt_screen_img, np.rint(gt * 65535) / 65535)
             assert sample.encoding == encoding
 
     def test_variants_change_the_sample(self, tiny_config):
@@ -317,3 +323,124 @@ class TestLoadReadsOnce:
         manifest.hashes["test/4_y.pgm"] = hashlib.sha256(bad).hexdigest()
         with pytest.raises(PgmParseError, match="4_y.pgm"):
             load_split(manifest, "test", tmp_path)
+
+    def test_generate_hashes_the_bytes_it_writes(self, tiny_config, tmp_path, monkeypatch):
+        opened = []
+        real_open = open
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(os.fspath(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(dataset, "open", counting_open, raising=False)
+        manifest = generate_dataset(tiny_config, tmp_path)
+        assert opened == []
+        assert len(manifest.hashes) == 2 * manifest.total
+        for rel, digest in manifest.hashes.items():
+            assert hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() == digest
+
+
+def assert_bits_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestLevelStorage:
+    """Samples hold their images as the 16-bit levels the PGM files store."""
+
+    def test_held_arrays_are_uint16(self, tiny_dataset, tiny_config):
+        root, manifest = tiny_dataset
+        n = tiny_config.grid.n
+        loaded = load_split(manifest, "train", root)
+        for s in loaded + [synthesize_sample(tiny_config, 3)]:
+            for levels in (s.distorted_levels, s.gt_screen_levels):
+                assert levels.dtype == np.uint16
+                assert levels.nbytes == 2 * n * n
+
+    @pytest.mark.parametrize("observation", OBSERVATIONS)
+    def test_synthesized_equals_loaded(self, tiny_config, observation, tmp_path):
+        config = dataclasses.replace(tiny_config, observation=observation)
+        manifest = generate_dataset(config, tmp_path)
+        loaded = [s for split in ("train", "test") for s in load_split(manifest, split, tmp_path)]
+        assert len(loaded) == manifest.total
+        for s in loaded:
+            fresh = synthesize_sample(config, s.id)
+            assert_bits_equal(s.distorted_levels, fresh.distorted_levels)
+            assert_bits_equal(s.gt_screen_levels, fresh.gt_screen_levels)
+            assert_bits_equal(s.distorted_img, fresh.distorted_img)
+            assert_bits_equal(s.gt_screen_img, fresh.gt_screen_img)
+
+    def test_float_views_equal_import_pgm(self, tiny_dataset):
+        root, manifest = tiny_dataset
+        for s in load_split(manifest, "test", root):
+            assert_bits_equal(s.gt_screen_img, import_pgm(root / "test" / f"{s.id}_y.pgm"))
+            assert_bits_equal(s.distorted_img, import_pgm(root / "test" / f"{s.id}_x.pgm"))
+            assert_bits_equal(s.gt_screen_img, s.gt_screen_levels.astype(np.float64) / 65535)
+
+    def test_training_pairs_decode_when_indexed(self, tiny_dataset):
+        root, manifest = tiny_dataset
+        samples = load_split(manifest, "train", root)
+        pairs = training_pairs(samples)
+        assert len(pairs) == len(samples)
+        assert len(pairs[1:3]) == 2
+        x, y = pairs[-1]
+        assert_bits_equal(x, samples[-1].distorted_levels / 65535)
+        assert_bits_equal(y, samples[-1].gt_screen_levels / 65535)
+        with pytest.raises(TypeError):
+            pairs[0] = (x, y)
+
+    def test_training_on_pairs_equals_training_on_floats(self, tiny_dataset, tiny_config):
+        root, manifest = tiny_dataset
+        samples = load_split(manifest, "train", root)
+        floats = [(s.distorted_levels / 65535, s.gt_screen_levels / 65535) for s in samples]
+        runs = []
+        for pairs in (training_pairs(samples), floats):
+            net = DiffractiveNetwork.build(tiny_config.grid, n_layers=2, init="defocus")
+            state, losses = train(net, pairs, epochs=3, batch=3, lr=0.01, shuffle_seed=2)
+            runs.append((losses, net))
+        (loss_a, net_a), (loss_b, net_b) = runs
+        assert loss_a == loss_b
+        for la, lb in zip(net_a.layers, net_b.layers):
+            assert_bits_equal(la.phase, lb.phase)
+            assert_bits_equal(la.log_amplitude, lb.log_amplitude)
+        assert_bits_equal(net_a.readout, net_b.readout)
+
+    def test_load_split_holds_two_bytes_per_pixel(self, tmp_path):
+        desk = desk_config(base_seed=5)
+        config = dataclasses.replace(
+            desk, levels=desk.levels[:1], count_per_level=102, train_per_level=100
+        )
+        manifest = generate_dataset(config, tmp_path)
+        tracemalloc.start()
+        try:
+            samples = load_split(manifest, "train", tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        pixels = 2 * len(samples) * config.grid.n**2
+        assert len(samples) == 100
+        assert peak / pixels <= 2.5  # float64 images would need 8
+
+
+class TestBadValues:
+    """A manifest value that does not parse names the file and the key."""
+
+    @pytest.fixture
+    def manifest_text(self, tiny_dataset):
+        root, _ = tiny_dataset
+        return (root / "manifest.txt").read_bytes()
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            (b"grid_n = 16", b"grid_n = abc", "grid_n"),
+            (b"count_per_level = 6", b"count_per_level = 6\xe9", "count_per_level"),
+            (b"level1.cn2 = ", b"level1.cn2 = x", "level1.cn2"),
+        ],
+    )
+    def test_bad_value_is_config_error(self, manifest_text, tmp_path, old, new, key):
+        assert manifest_text.count(old) == 1
+        (tmp_path / "manifest.txt").write_bytes(manifest_text.replace(old, new))
+        with pytest.raises(ConfigError, match=key) as exc:
+            load_manifest(tmp_path)
+        assert str(tmp_path / "manifest.txt") in str(exc.value)

@@ -1,3 +1,6 @@
+import gc
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from vortexao import (
     normalize_image,
     resize_bilinear,
 )
+from vortexao.images import parse_pgm, pgm_bytes, quantize_image
 
 
 class TestPgmRoundTrip:
@@ -84,11 +88,59 @@ class TestPgmParerrors:
         with pytest.raises(PgmParseError):
             import_pgm(path)
 
+    @pytest.mark.parametrize("size", [b"0 4", b"4 0", b"-4 -4"])
+    def test_non_positive_size(self, size):
+        with pytest.raises(PgmParseError, match="size"):
+            parse_pgm(b"P5\n" + size + b"\n65535\n" + b"\x00" * 32, "p.pgm")
+
     def test_comment_lines_allowed(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment\n4 4\n65535\n" + b"\x00" * 32)
         img = import_pgm(path)
         assert img.shape == (4, 4)
+
+
+class TestLevels:
+    def test_export_is_quantize_then_bytes(self, tmp_path, rng):
+        img = rng.uniform(0, 1, (5, 7))
+        export_pgm(img, tmp_path / "a.pgm")
+        levels = quantize_image(img)
+        assert levels.dtype == np.uint16
+        np.testing.assert_array_equal(levels, np.rint(img * 65535))
+        assert (tmp_path / "a.pgm").read_bytes() == pgm_bytes(levels)
+
+    def test_parse_returns_the_levels(self, rng):
+        levels = rng.integers(0, 65536, (6, 3)).astype(np.uint16)
+        back = parse_pgm(pgm_bytes(levels), "p.pgm")
+        assert back.dtype == np.uint16
+        np.testing.assert_array_equal(back, levels)
+
+    def test_import_decodes_every_level_exactly(self, tmp_path):
+        levels = np.arange(65536, dtype=np.uint16).reshape(256, 256)
+        (tmp_path / "all.pgm").write_bytes(pgm_bytes(levels))
+        img = import_pgm(tmp_path / "all.pgm")
+        assert img.tobytes() == (levels.astype(np.float64) / 65535).tobytes()
+
+    @pytest.mark.parametrize("bad", [-1e-9, 1.5, np.nan])
+    def test_quantize_rejects_values_outside_unit_range(self, bad):
+        img = np.full((4, 4), 0.5)
+        img[2, 1] = bad
+        with pytest.raises(DomainError):
+            quantize_image(img)
+
+    def test_bytes_reject_non_level_arrays(self):
+        with pytest.raises(DomainError):
+            pgm_bytes(np.zeros((4, 4)))
+
+    def test_parse_keeps_no_reference_to_the_bytes(self):
+        data = pgm_bytes(np.zeros((4, 4), dtype=np.uint16))
+        gc.disable()  # a reference cycle would hold ``data`` until a collection
+        try:
+            before = sys.getrefcount(data)
+            parse_pgm(data, "p.pgm")
+            assert sys.getrefcount(data) == before
+        finally:
+            gc.enable()
 
 
 class TestResizeBilinear:
