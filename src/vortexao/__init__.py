@@ -78,6 +78,7 @@ from .images import export_pgm, import_pgm, resize_bilinear
 from .pipeline import (
     LevelSummary,
     compensate,
+    compensate_prediction,
     conjugate_screen,
     epoch_sweep,
     evaluate_level,

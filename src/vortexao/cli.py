@@ -13,12 +13,11 @@ written atomically. Every command is deterministic given its seed inputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
 import numpy as np
-
-import dataclasses
 
 from .dataset import (
     DatasetConfig,
@@ -35,7 +34,7 @@ from .dataset import (
 from .errors import ConfigError, VortexAOError
 from .field import GridSpec, intensity, make_vortex_beam, normalize_image
 from .images import atomic_write_bytes, export_pgm
-from .metrics import mode_purity, oam_decompose, write_report
+from .metrics import mode_purity, mode_range, oam_decompose, write_report
 from .network import (
     DiffractiveNetwork,
     TrainState,
@@ -44,6 +43,7 @@ from .network import (
     train as train_network,
 )
 from .pipeline import (
+    compensate_prediction,
     evaluate_level,
     network_predictor,
     oracle_predictor,
@@ -110,7 +110,7 @@ def cmd_gen_dataset(args) -> int:
         for j in range(summary_n):
             sid = i * config.count_per_level + j
             _, _, receiver = synthesize_fields(config, sid)
-            mps.append(mode_purity(oam_decompose(receiver), config.ell))
+            mps.append(mode_purity(oam_decompose(receiver, mode_range(config.ell)), config.ell))
         print(
             f"level {i}: cn2={params.cn2:.1e} screen variance {var:.4f} rad^2, "
             f"mean distorted MP({config.ell}) {np.mean(mps):.4f} ({summary_n} samples)"
@@ -197,18 +197,11 @@ def _epoch_from_name(path) -> int:
 
 
 def _dump_panels(out_dir, predictor, samples, manifest) -> None:
-    from .dataset import decode_screen
-    from .field import PhaseScreen
-    from .pipeline import compensate, conjugate_screen
-
     os.makedirs(out_dir, exist_ok=True)
-    config = manifest.config
     for sample in samples:
-        _, _, receiver = synthesize_fields(config, sample.id)
+        _, _, receiver = synthesize_fields(manifest.config, sample.id)
         pred_img = predictor(sample)
-        lo, hi = sample.encoding
-        pred_screen = PhaseScreen(config.grid, decode_screen(pred_img, lo, hi))
-        comp = compensate(receiver, conjugate_screen(pred_screen))
+        comp = compensate_prediction(receiver, pred_img, sample.encoding)
         export_pgm(sample.gt_screen_img, os.path.join(out_dir, f"{sample.id}_gt.pgm"))
         export_pgm(np.clip(pred_img, 0, 1), os.path.join(out_dir, f"{sample.id}_pred.pgm"))
         export_pgm(sample.distorted_img, os.path.join(out_dir, f"{sample.id}_dist.pgm"))

@@ -47,6 +47,12 @@ class OamSpectrum:
         return float(self.weights[m - self.ell_min])
 
 
+def mode_range(ell: int) -> tuple[int, int]:
+    """The range purity of mode ``ell`` is reported over: +/-10, or +/-(|ell| + 5)."""
+    span = max(10, abs(ell) + 5)
+    return (-span, span)
+
+
 def oam_decompose(
     field: ComplexField, ell_range: tuple[int, int] = DEFAULT_ELL_RANGE
 ) -> OamSpectrum:

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from .dataset import decode_screen
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -218,13 +219,10 @@ class ForwardTape:
     """Intermediate planes recorded by a forward pass for the backward pass."""
 
     version: int
-    input_field: ComplexField
-    pre_layer: list[ComplexField]
     post_layer: list[ComplexField]
     out_field: ComplexField
     raw_intensity: np.ndarray
     mean_intensity: float
-    output: np.ndarray
 
 
 @dataclass
@@ -236,12 +234,7 @@ class LayerGradients:
 
 
 class Gradients(list):
-    """Per-layer :class:`LayerGradients` plus the readout gradient.
-
-    ``readout`` holds ``(dL/dgain, dL/doffset)``. Wherever gradients are
-    consumed, a plain list of layer gradients is accepted too and means a
-    zero readout gradient.
-    """
+    """Per-layer :class:`LayerGradients` plus ``readout``, ``(dL/dgain, dL/doffset)``."""
 
     def __init__(self, layers=(), readout=(0.0, 0.0)):
         super().__init__(layers)
@@ -283,11 +276,10 @@ def forward(net: DiffractiveNetwork, input_field: ComplexField) -> tuple[np.ndar
     """
     if input_field.grid != net.grid:
         raise GridMismatchError("input field grid does not match the network grid")
-    pre, post = [], []
+    post = []
     u = input_field
     for layer in net.layers:
         u = propagate(u, net.kernel)
-        pre.append(u)
         u = ComplexField(net.grid, u.values * layer.transmission())
         post.append(u)
     out_field = propagate(u, net.kernel)
@@ -297,7 +289,7 @@ def forward(net: DiffractiveNetwork, input_field: ComplexField) -> tuple[np.ndar
         raise DomainError("forward pass produced an identically zero output")
     gain, offset = net.readout
     output = offset + gain * (raw / mean - 1.0)
-    tape = ForwardTape(net.version, input_field, pre, post, out_field, raw, mean, output)
+    tape = ForwardTape(net.version, post, out_field, raw, mean)
     return output, tape
 
 
@@ -387,11 +379,10 @@ class TrainState:
             ]
 
 
-def adam_step(state: TrainState, gradients: list[LayerGradients]) -> TrainState:
+def adam_step(state: TrainState, gradients: Gradients) -> TrainState:
     """One bias-corrected Adam update over all trainable parameters.
 
-    ``gradients`` is the output of :func:`backward` (or a sum of them); a
-    plain list of layer gradients leaves the readout gradient at zero.
+    ``gradients`` is the output of :func:`backward` (or a sum of them).
     Frozen arrays (per layer mode) are left untouched. After the update,
     log-amplitudes are clamped to <= 0 so layers stay passive.
     """
@@ -403,8 +394,7 @@ def adam_step(state: TrainState, gradients: list[LayerGradients]) -> TrainState:
             raise TrainingDivergenceError(
                 f"non-finite gradient for layer {i} at step {state.step + 1}"
             )
-    readout_grad = getattr(gradients, "readout", np.zeros(2))
-    if not np.all(np.isfinite(readout_grad)):
+    if not np.all(np.isfinite(gradients.readout)):
         raise TrainingDivergenceError(
             f"non-finite readout gradient at step {state.step + 1}"
         )
@@ -427,7 +417,7 @@ def adam_step(state: TrainState, gradients: list[LayerGradients]) -> TrainState:
         if layer.trains_amplitude:
             update(layer.log_amplitude, m.log_amplitude, v.log_amplitude, g.log_amplitude)
             np.minimum(layer.log_amplitude, 0.0, out=layer.log_amplitude)
-    update(net.readout, state.m_readout, state.v_readout, readout_grad)
+    update(net.readout, state.m_readout, state.v_readout, gradients.readout)
     net.bump_version()
     return state
 
@@ -514,12 +504,11 @@ def predict_screen(
     """Map a distorted intensity image to a predicted phase screen.
 
     The :func:`predict_image` output in [0, 1] is decoded through the
-    dataset's fixed screen encoding range: ``phase = lo + image * (hi - lo)``.
+    dataset's fixed screen encoding range ``(lo, hi)`` by :func:`decode_screen`.
     """
     if encoding is None:
         raise ConfigError("screen encoding range missing; dataset manifest required")
-    lo, hi = float(encoding[0]), float(encoding[1])
-    return PhaseScreen(net.grid, lo + predict_image(net, distorted_img) * (hi - lo))
+    return PhaseScreen(net.grid, decode_screen(predict_image(net, distorted_img), *encoding))
 
 
 _MAGIC = b"VAOCKPT1"

@@ -18,7 +18,7 @@ import numpy as np
 from .dataset import Manifest, Sample, decode_screen, synthesize_fields
 from .errors import ConfigError
 from .field import ComplexField, PhaseScreen, apply_phase
-from .metrics import ReportRow, mode_purity, oam_decompose, psnr
+from .metrics import ReportRow, mode_purity, mode_range, oam_decompose, psnr
 from .network import DiffractiveNetwork, load_checkpoint, predict_image
 
 # a predictor maps a distorted intensity image to an image in [0, 1]
@@ -33,6 +33,14 @@ def conjugate_screen(pred: PhaseScreen) -> PhaseScreen:
 def compensate(distorted_field: ComplexField, comp: PhaseScreen) -> ComplexField:
     """Apply a compensation screen to a field at the receiver plane."""
     return apply_phase(distorted_field, comp)
+
+
+def compensate_prediction(
+    receiver: ComplexField, pred_img: np.ndarray, encoding: tuple[float, float]
+) -> ComplexField:
+    """Decode a predicted screen image, negate it and apply it at the receiver."""
+    pred = PhaseScreen(receiver.grid, decode_screen(pred_img, *encoding))
+    return compensate(receiver, conjugate_screen(pred))
 
 
 def network_predictor(net: DiffractiveNetwork) -> Predictor:
@@ -64,6 +72,56 @@ class LevelSummary:
     improved_fraction: float
 
 
+def _evaluate(runs, samples, manifest, ell_range):
+    """Score every ``(epoch, predictor)`` run in one pass; one ``(rows, summary)`` each.
+
+    A sample's fields, distorted mode purity and bounds are computed once for
+    all runs. Only the report rows and the two bound values outlive it.
+    """
+    if not samples:
+        raise ConfigError("cannot evaluate an empty sample list")
+    levels = {s.level_index for s in samples}
+    if len(levels) != 1:
+        raise ConfigError(f"samples span multiple levels: {sorted(levels)}")
+    level = levels.pop()
+    config = manifest.config
+    ell = config.ell
+    if ell_range is None:
+        ell_range = mode_range(ell)
+
+    def purity(field: ComplexField) -> float:
+        return mode_purity(oam_decompose(field, ell_range), ell)
+
+    rows: list[list[ReportRow]] = [[] for _ in runs]
+    bounds_screen, bounds_receiver = [], []
+    for sample in samples:
+        screen, at_screen, receiver = synthesize_fields(config, sample.id)
+        mp_dist = purity(receiver)
+        # perfect knowledge at the screen plane restores the beam exactly
+        bounds_screen.append(purity(apply_phase(at_screen, conjugate_screen(screen))))
+        bounds_receiver.append(purity(compensate(receiver, conjugate_screen(screen))))
+        for (epoch, predictor), run_rows in zip(runs, rows):
+            pred_img = predictor(sample)
+            mp_comp = purity(compensate_prediction(receiver, pred_img, sample.encoding))
+            psnr_db = psnr(pred_img, sample.gt_screen_img)
+            run_rows.append(ReportRow(sample.id, level, mp_dist, mp_comp, psnr_db, epoch))
+
+    def summarize(run_rows: list[ReportRow]) -> LevelSummary:
+        return LevelSummary(
+            level=level,
+            count=len(run_rows),
+            mean_mp_distorted=float(np.mean([r.mp_distorted for r in run_rows])),
+            mean_mp_compensated=float(np.mean([r.mp_compensated for r in run_rows])),
+            mean_psnr=float(np.mean([r.psnr for r in run_rows])),
+            mean_mp_bound_screen=float(np.mean(bounds_screen)),
+            mean_mp_bound_receiver=float(np.mean(bounds_receiver)),
+            improved_fraction=sum(r.mp_compensated > r.mp_distorted for r in run_rows)
+            / len(run_rows),
+        )
+
+    return [(run_rows, summarize(run_rows)) for run_rows in rows]
+
+
 def evaluate_level(
     predictor: Predictor,
     samples: list[Sample],
@@ -79,54 +137,7 @@ def evaluate_level(
     stored ground-truth image. The summary also carries both perfect
     knowledge bounds (screen plane and receiver plane).
     """
-    if not samples:
-        raise ConfigError("cannot evaluate an empty sample list")
-    levels = {s.level_index for s in samples}
-    if len(levels) != 1:
-        raise ConfigError(f"samples span multiple levels: {sorted(levels)}")
-    level = levels.pop()
-    config = manifest.config
-    ell = config.ell
-    if ell_range is None:
-        span = max(10, abs(ell) + 5)
-        ell_range = (-span, span)
-
-    rows = []
-    bounds_screen = []
-    bounds_receiver = []
-    improved = 0
-    for sample in samples:
-        screen, at_screen, receiver = synthesize_fields(config, sample.id)
-        mp_dist = mode_purity(oam_decompose(receiver, ell_range), ell)
-
-        pred_img = predictor(sample)
-        lo, hi = sample.encoding
-        pred_screen = PhaseScreen(config.grid, decode_screen(pred_img, lo, hi))
-        comp = compensate(receiver, conjugate_screen(pred_screen))
-        mp_comp = mode_purity(oam_decompose(comp, ell_range), ell)
-
-        # perfect knowledge at the screen plane restores the beam exactly
-        restored = apply_phase(at_screen, conjugate_screen(screen))
-        bounds_screen.append(mode_purity(oam_decompose(restored, ell_range), ell))
-        rx_bound = compensate(receiver, conjugate_screen(screen))
-        bounds_receiver.append(mode_purity(oam_decompose(rx_bound, ell_range), ell))
-
-        improved += mp_comp > mp_dist
-        rows.append(
-            ReportRow(sample.id, level, mp_dist, mp_comp, psnr(pred_img, sample.gt_screen_img), epoch)
-        )
-
-    summary = LevelSummary(
-        level=level,
-        count=len(rows),
-        mean_mp_distorted=float(np.mean([r.mp_distorted for r in rows])),
-        mean_mp_compensated=float(np.mean([r.mp_compensated for r in rows])),
-        mean_psnr=float(np.mean([r.psnr for r in rows])),
-        mean_mp_bound_screen=float(np.mean(bounds_screen)),
-        mean_mp_bound_receiver=float(np.mean(bounds_receiver)),
-        improved_fraction=improved / len(rows),
-    )
-    return rows, summary
+    return _evaluate([(epoch, predictor)], samples, manifest, ell_range)[0]
 
 
 def epoch_sweep(
@@ -134,14 +145,13 @@ def epoch_sweep(
     samples: list[Sample],
     manifest: Manifest,
 ) -> list[tuple[int, float, float]]:
-    """Evaluate saved checkpoints, returning (epoch, mean PSNR, mean MP) rows."""
+    """Evaluate saved checkpoints, returning (epoch, mean PSNR, mean MP) rows.
+
+    All checkpoints share one pass, so each sample's reference is computed once.
+    """
     if not checkpoints:
         raise ConfigError("no checkpoints to sweep")
-    table = []
-    for epoch in sorted(checkpoints):
-        state = load_checkpoint(checkpoints[epoch])
-        _, summary = evaluate_level(
-            network_predictor(state.network), samples, manifest, epoch=epoch
-        )
-        table.append((epoch, summary.mean_psnr, summary.mean_mp_compensated))
-    return table
+    epochs = sorted(checkpoints)
+    runs = [(e, network_predictor(load_checkpoint(checkpoints[e]).network)) for e in epochs]
+    results = _evaluate(runs, samples, manifest, None)
+    return [(e, s.mean_psnr, s.mean_mp_compensated) for e, (_, s) in zip(epochs, results)]

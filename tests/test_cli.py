@@ -86,6 +86,20 @@ class TestGenDataset:
         assert f"{cfg}:3:" in capsys.readouterr().err
 
 
+    def test_large_charge_uses_the_eval_mode_range(self, tmp_path, capsys):
+        # |ell| = 12 lies outside the default (-10, 10) decomposition range;
+        # the generation summary must widen it exactly as eval does
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ell = 12\nwaist = 0.001\n")
+        out = str(tmp_path / "data")
+        args = ["--grid", "64", "--count", "4", "--train-count", "2", "--levels", "0"]
+        rc = main(["gen-dataset", "--out", out, "--config", str(cfg)] + args)
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert "mean distorted MP(12)" in captured.out
+        report = str(tmp_path / "zero.csv")
+        assert main(["eval", "--data", out, "--level", "0", "--stub", "zero", "--report", report]) == 0
+
     @pytest.mark.parametrize(
         "text, key",
         [(b"grid_n = abc\n", "grid_n"), (b"count_per_level = 4\xe9\n", "count_per_level")],

@@ -194,9 +194,9 @@ class TestAdamStep:
         net = small_net(grid16)
         before = [layer.phase.copy() for layer in net.layers]
         state = TrainState(net)
-        zeros = [
+        zeros = Gradients(
             LayerGradients(np.zeros((16, 16)), np.zeros((16, 16))) for _ in net.layers
-        ]
+        )
         adam_step(state, zeros)
         assert state.step == 1
         for layer, keep in zip(net.layers, before):
@@ -207,7 +207,7 @@ class TestAdamStep:
         net = DiffractiveNetwork.build(grid16, n_layers=1, spacing=0.5)
         state = TrainState(net, lr=0.01)
         g = np.full((16, 16), 0.37)
-        grads = [LayerGradients(g, np.zeros((16, 16)))]
+        grads = Gradients([LayerGradients(g, np.zeros((16, 16)))])
         for _ in range(50):
             adam_step(state, grads)
         before = net.layers[0].phase.copy()
@@ -218,10 +218,10 @@ class TestAdamStep:
     def test_nan_gradient_rejected(self, grid16):
         net = small_net(grid16)
         state = TrainState(net)
-        bad = [
+        bad = Gradients(
             LayerGradients(np.full((16, 16), np.nan), np.zeros((16, 16)))
             for _ in net.layers
-        ]
+        )
         with pytest.raises(TrainingDivergenceError):
             adam_step(state, bad)
 
@@ -247,12 +247,12 @@ class TestAdamStep:
         net = small_net(grid16)
         state = TrainState(net, lr=0.1)
         for _ in range(20):
-            grads = [
+            grads = Gradients(
                 LayerGradients(
                     rng.normal(0, 1, (16, 16)), rng.normal(0, 1, (16, 16))
                 )
                 for _ in net.layers
-            ]
+            )
             adam_step(state, grads)
         for layer in net.layers:
             amp = layer.amplitude
@@ -262,10 +262,10 @@ class TestAdamStep:
         net = small_net(grid16, mode="amplitude")
         phases = [layer.phase.copy() for layer in net.layers]
         state = TrainState(net)
-        grads = [
+        grads = Gradients(
             LayerGradients(rng.normal(0, 1, (16, 16)), rng.normal(0, 1, (16, 16)))
             for _ in net.layers
-        ]
+        )
         adam_step(state, grads)
         for layer, keep in zip(net.layers, phases):
             np.testing.assert_array_equal(layer.phase, keep)
@@ -334,6 +334,12 @@ class TestPredictScreen:
         img, _ = random_pair(grid16, rng)
         with pytest.raises(ConfigError):
             predict_screen(net, img, None)
+
+    def test_reversed_range_rejected(self, grid16, rng):
+        net = small_net(grid16)
+        img, _ = random_pair(grid16, rng)
+        with pytest.raises(DomainError):
+            predict_screen(net, img, (2.0, -2.0))
 
     def test_decodes_through_range(self, grid16, rng):
         net = small_net(grid16)
@@ -473,7 +479,7 @@ class TestLayerInvariants:
         img, _ = random_pair(grid16, rng)
         field = encode_input(img, grid16)
         _, tape = forward(net, field)
-        for plane in tape.pre_layer + tape.post_layer + [tape.out_field]:
+        for plane in tape.post_layer + [tape.out_field]:
             assert abs(plane.power - field.power) < 1e-10 * field.power
 
 

@@ -1,23 +1,33 @@
 import numpy as np
 import pytest
 
+import vortexao.pipeline as pipeline
 from vortexao import (
     ConfigError,
     DatasetConfig,
+    DiffractiveNetwork,
     GridSpec,
     PhaseScreen,
     TurbulenceParams,
     apply_phase,
     compensate,
+    compensate_prediction,
     conjugate_screen,
+    decode_screen,
+    epoch_sweep,
     evaluate_level,
     generate_dataset,
+    load_checkpoint,
     load_split,
     make_vortex_beam,
     mode_purity,
+    network_predictor,
     oam_decompose,
     oracle_predictor,
+    save_checkpoint,
     synthesize_fields,
+    train,
+    training_pairs,
     zero_predictor,
 )
 from vortexao.metrics import REPORT_COLUMNS
@@ -61,6 +71,25 @@ class TestConjugateScreen:
         assert mode_purity(oam_decompose(restored), -3) == pytest.approx(
             mode_purity(oam_decompose(beam), -3), abs=1e-9
         )
+
+
+class TestCompensatePrediction:
+    def test_matches_decode_conjugate_compensate(self, eval_setup):
+        root, manifest = eval_setup
+        sample = load_split(manifest, "test", root, level_index=3)[0]
+        _, _, receiver = synthesize_fields(manifest.config, sample.id)
+        img = sample.gt_screen_img
+        screen = PhaseScreen(receiver.grid, decode_screen(img, *sample.encoding))
+        expected = compensate(receiver, conjugate_screen(screen))
+        got = compensate_prediction(receiver, img, sample.encoding)
+        np.testing.assert_array_equal(got.values, expected.values)
+
+    def test_mid_gray_leaves_the_field_unchanged(self, eval_setup):
+        root, manifest = eval_setup
+        sample = load_split(manifest, "test", root, level_index=3)[0]
+        _, _, receiver = synthesize_fields(manifest.config, sample.id)
+        got = compensate_prediction(receiver, zero_predictor(sample), sample.encoding)
+        np.testing.assert_array_equal(got.values, receiver.values)
 
 
 class TestEvaluateLevel:
@@ -146,3 +175,61 @@ class TestCompensationPhysics:
         bound = summary.mean_mp_bound_screen
         for row in rows:
             assert row.mp_compensated <= bound + 1e-6
+
+
+class TestEpochSweep:
+    @pytest.fixture(scope="class")
+    def sweep_setup(self, eval_setup, tmp_path_factory):
+        root, manifest = eval_setup
+        train_samples = load_split(manifest, "train", root, level_index=3)
+        net = DiffractiveNetwork.build(manifest.config.grid, n_layers=2, init="defocus")
+        out = tmp_path_factory.mktemp("sweep")
+        checkpoints = {}
+
+        def save(epoch, state, loss):
+            checkpoints[epoch] = str(out / f"epoch_{epoch:03d}.ckpt")
+            save_checkpoint(checkpoints[epoch], state)
+
+        train(net, training_pairs(train_samples), epochs=3, batch=2, on_epoch=save)
+        samples = load_split(manifest, "test", root, level_index=3)
+        return checkpoints, samples, manifest
+
+    def test_table_equals_evaluate_level_per_checkpoint(self, sweep_setup):
+        checkpoints, samples, manifest = sweep_setup
+        table = epoch_sweep(checkpoints, samples, manifest)
+        expected = []
+        for epoch in sorted(checkpoints):
+            predictor = network_predictor(load_checkpoint(checkpoints[epoch]).network)
+            _, summary = evaluate_level(predictor, samples, manifest, epoch=epoch)
+            expected.append((epoch, summary.mean_psnr, summary.mean_mp_compensated))
+        assert table == expected
+
+    def test_reference_computed_once_per_sample(self, sweep_setup, monkeypatch):
+        checkpoints, samples, manifest = sweep_setup
+        calls = {"synthesize_fields": 0, "oam_decompose": 0}
+
+        def counting(name):
+            fn = getattr(pipeline, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(pipeline, name, counting(name))
+        epoch_sweep(checkpoints, samples, manifest)
+        k = len(checkpoints)
+        # one synthesis, the distorted purity and two bounds per sample, then
+        # one compensated purity per checkpoint
+        assert calls == {
+            "synthesize_fields": len(samples),
+            "oam_decompose": (3 + k) * len(samples),
+        }
+
+    def test_rejects_no_checkpoints(self, eval_setup):
+        root, manifest = eval_setup
+        samples = load_split(manifest, "test", root, level_index=3)
+        with pytest.raises(ConfigError):
+            epoch_sweep({}, samples, manifest)
