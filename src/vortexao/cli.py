@@ -215,7 +215,7 @@ def cmd_inspect(args) -> int:
         export_pgm(normalize_image(intensity(beam)), args.out)
         print(f"wrote beam intensity (ell={args.ell}) to {args.out}")
         if args.spectrum_csv:
-            spec = oam_decompose(beam)
+            spec = oam_decompose(beam, mode_range(args.ell))
             lines = ["ell,weight"] + [
                 f"{ell},{w:.9e}" for ell, w in zip(spec.ells, spec.weights)
             ]

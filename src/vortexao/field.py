@@ -41,8 +41,9 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ConfigError(f"grid size must be a power of two >= 8, got {self.n}")
-        if not (math.isfinite(self.dx) and self.dx > 0):
-            raise ConfigError(f"grid spacing must be positive and finite, got {self.dx}")
+        area = self.dx * self.dx  # intensities scale as 1 / area, powers as n^2 area
+        if not (self.dx > 0 and np.finfo(float).tiny <= area and area * self.n**2 < math.inf):
+            raise ConfigError(f"grid spacing {self.dx} gives no finite, nonzero pixel area")
         if not (math.isfinite(self.wavelength) and self.wavelength > 0):
             raise ConfigError(f"wavelength must be positive and finite, got {self.wavelength}")
 

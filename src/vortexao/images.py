@@ -116,13 +116,13 @@ def parse_pgm(data: bytes, source) -> np.ndarray:
     return samples.reshape(h, w).astype(np.uint16)
 
 
-def bilinear_sample(values: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Sample an array at fractional (row, col) positions, bilinear weights.
+def _bilinear_taps(shape, rows: np.ndarray, cols: np.ndarray):
+    """``(rows, cols, row_weights, col_weights)`` of the four bilinear taps, stacked.
 
-    Positions are clamped to the array border; callers keep their sample
-    points inside the grid.
+    Tap k reads ``v = values[rows[k], cols[k]]`` and weighs it
+    ``(v * row_weights[k]) * col_weights[k]``; positions are clamped to the border.
     """
-    n_r, n_c = values.shape
+    n_r, n_c = shape
     rows = np.clip(rows, 0.0, n_r - 1.0)
     cols = np.clip(cols, 0.0, n_c - 1.0)
     r0 = np.floor(rows).astype(np.intp)
@@ -131,12 +131,19 @@ def bilinear_sample(values: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> n
     c1 = np.minimum(c0 + 1, n_c - 1)
     fr = rows - r0
     fc = cols - c0
-    return (
-        values[r0, c0] * (1 - fr) * (1 - fc)
-        + values[r1, c0] * fr * (1 - fc)
-        + values[r0, c1] * (1 - fr) * fc
-        + values[r1, c1] * fr * fc
-    )
+    taps = np.stack([r0, r1, r0, r1]), np.stack([c0, c0, c1, c1])
+    return (*taps, np.stack([1 - fr, fr, 1 - fr, fr]), np.stack([1 - fc, 1 - fc, fc, fc]))
+
+
+def bilinear_sample(values: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Sample an array at fractional (row, col) positions, bilinear weights.
+
+    Positions are clamped to the array border; callers keep their sample
+    points inside the grid.
+    """
+    tap_rows, tap_cols, row_w, col_w = _bilinear_taps(values.shape, rows, cols)
+    t = values[tap_rows, tap_cols] * row_w * col_w
+    return t[0] + t[1] + t[2] + t[3]
 
 
 def resize_bilinear(img: np.ndarray, n_target: int) -> np.ndarray:

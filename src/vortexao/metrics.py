@@ -9,14 +9,15 @@ normalized over the requested mode range.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, GridMismatchError
-from .field import ComplexField
-from .images import atomic_write_bytes, bilinear_sample
+from .field import ComplexField, GridSpec
+from .images import _bilinear_taps, atomic_write_bytes
 
 DEFAULT_ELL_RANGE = (-10, 10)
 
@@ -53,6 +54,34 @@ def mode_range(ell: int) -> tuple[int, int]:
     return (-span, span)
 
 
+@functools.lru_cache(maxsize=8)
+def _polar_plan(grid: GridSpec, ell_min: int, ell_max: int):
+    """Read-only ``(taps, row_weights, col_weights, radius, basis)`` of :func:`oam_decompose`.
+
+    ``taps`` index the float64 view of a field (real, imaginary interleaved).
+    """
+    n_r = grid.n // 2
+    n_theta = max(16, 4 * max(abs(ell_min), abs(ell_max)))
+    r = (np.arange(n_r) + 0.5) * (grid.side / 2 / n_r)
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    # pixel centers sit at (i - n/2 + 0.5) dx; invert that map to index space
+    cols = r[:, None] * np.cos(theta)[None, :] / grid.dx + grid.n / 2 - 0.5
+    rows = r[:, None] * np.sin(theta)[None, :] / grid.dx + grid.n / 2 - 0.5
+    tap_rows, tap_cols, row_w, col_w = _bilinear_taps((grid.n, grid.n), rows, cols)
+    flat = 2 * (tap_rows * grid.n + tap_cols)
+    # the weights repeat for both parts: a broadcast over that axis is slower
+    plan = (
+        np.stack([flat, flat + 1], axis=-1),
+        np.repeat(row_w[..., None], 2, axis=-1),
+        np.repeat(col_w[..., None], 2, axis=-1),
+        r[:, None],
+        np.exp(-1j * np.outer(theta, np.arange(ell_min, ell_max + 1))),  # (n_theta, n_ell)
+    )
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
 def oam_decompose(
     field: ComplexField, ell_range: tuple[int, int] = DEFAULT_ELL_RANGE
 ) -> OamSpectrum:
@@ -61,33 +90,22 @@ def oam_decompose(
     Samples n/2 radii inside the inscribed circle and ``4 * max|ell|``
     azimuthal angles (at least 16) with bilinear interpolation, then
     projects each ring onto the helical phases of the requested modes.
-    Insensitive to a global phase and to free-space propagation.
+    Insensitive to a global phase and to free-space propagation. The
+    sampling plan is built once per grid and mode range and then reused.
     """
     ell_min, ell_max = int(ell_range[0]), int(ell_range[1])
     if ell_min > ell_max:
         raise DomainError(f"empty mode range [{ell_min}, {ell_max}]")
-    grid = field.grid
     if not np.any(field.values):
         raise DegenerateInputError("cannot decompose an identically zero field")
 
-    n_r = grid.n // 2
-    n_theta = max(16, 4 * max(abs(ell_min), abs(ell_max)))
-    radius = grid.side / 2
-    r = (np.arange(n_r) + 0.5) * (radius / n_r)
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    x = r[:, None] * np.cos(theta)[None, :]
-    y = r[:, None] * np.sin(theta)[None, :]
-    # pixel centers sit at (i - n/2 + 0.5) dx; invert that map to index space
-    cols = x / grid.dx + grid.n / 2 - 0.5
-    rows = y / grid.dx + grid.n / 2 - 0.5
-    u_polar = bilinear_sample(field.values.real, rows, cols) + 1j * bilinear_sample(
-        field.values.imag, rows, cols
-    )
-
-    ells = np.arange(ell_min, ell_max + 1)
-    basis = np.exp(-1j * np.outer(theta, ells))  # (n_theta, n_ell)
-    coeff = (u_polar @ basis) / n_theta  # ring-wise circular projection
-    powers = (r[:, None] * np.abs(coeff) ** 2).sum(axis=0)
+    taps, row_w, col_w, r, basis = _polar_plan(field.grid, ell_min, ell_max)
+    # bilinear_sample's operation order, so spectra stay the same bit for bit
+    t = np.ascontiguousarray(field.values).view(np.float64).ravel().take(taps) * row_w
+    t *= col_w
+    u_polar = (t[0] + t[1] + t[2] + t[3]).view(np.complex128)[..., 0]
+    coeff = (u_polar @ basis) / basis.shape[0]  # ring-wise circular projection
+    powers = (r * np.abs(coeff) ** 2).sum(axis=0)
     total = powers.sum()
     if total <= 0:
         raise DegenerateInputError("field carries no power inside the inscribed circle")

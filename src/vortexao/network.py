@@ -602,8 +602,10 @@ def load_checkpoint(path) -> TrainState:
             layers.append(DiffractiveLayer(mode, phase, log_amp))
         except ConfigError as exc:
             raise CheckpointError(f"{path}: layer {i}: {exc}") from exc
-    grid = GridSpec(n, dx, wavelength)
-    net = DiffractiveNetwork(grid, layers, spacing)
+    try:
+        net = DiffractiveNetwork(GridSpec(n, dx, wavelength), layers, spacing)
+    except (ConfigError, DomainError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     m, v = [], []
     for _ in range(n_layers):
         m.append(LayerGradients(read_array(), read_array()))

@@ -53,6 +53,8 @@ def make_kernel(grid: GridSpec, distance: float) -> PropagationKernel:
     fx, fy = np.meshgrid(f1, f1, indexing="ij")
     k = 2.0 * np.pi / grid.wavelength
     phase = k * distance - np.pi * grid.wavelength * distance * (fx**2 + fy**2)
+    if not np.all(np.isfinite(phase)):
+        raise DomainError(f"propagation phase overflows for distance {distance} on {grid}")
     return PropagationKernel(grid, distance, np.exp(1j * phase))
 
 

@@ -283,6 +283,16 @@ class TestInspect:
         assert weights[-3] == pytest.approx(1.0, abs=1e-5)
         assert weights[0] < 1e-5
 
+    def test_spectrum_of_large_charge_covers_its_mode(self, tmp_path):
+        csv = tmp_path / "spec.csv"
+        args = ["inspect", "--beam", "--ell", "12", "--grid", "64"]
+        rc = main(args + ["--out", str(tmp_path / "beam.pgm"), "--spectrum-csv", str(csv)])
+        assert rc == 0
+        rows = [line.split(",") for line in csv.read_text().split()[1:]]
+        weights = {int(ell): float(w) for ell, w in rows}
+        assert min(weights) == -17 and max(weights) == 17
+        assert weights[12] > 0.99
+
     def test_zero_turbulence_screen_is_black(self, tmp_path):
         out = tmp_path / "screen.pgm"
         rc = main(["inspect", "--screen", "--cn2", "0", "--grid", "32", "--out", str(out)])

@@ -39,6 +39,17 @@ class TestGridSpec:
         with pytest.raises(ConfigError):
             GridSpec(64, **args)
 
+    # pixel area dx^2 overflows, underflows to zero, or to a subnormal whose
+    # reciprocal overflows; or the window area (n dx)^2 overflows
+    @pytest.mark.parametrize("dx", [1e200, 1e-200, 1e-160, 1e153])
+    def test_rejects_spacing_with_unrepresentable_area(self, dx):
+        with pytest.raises(ConfigError, match="pixel area"):
+            GridSpec(64, dx, 633e-9)
+
+    @pytest.mark.parametrize("dx", [1e-150, 1e150])
+    def test_accepts_extreme_but_representable_spacing(self, dx):
+        assert GridSpec(64, dx, 633e-9).dx == dx
+
     def test_pixel_centers_avoid_origin(self):
         g = GridSpec(8, 1e-3, 633e-9)
         x, y = g.mesh()

@@ -17,7 +17,7 @@ from vortexao import (
     normalize_image,
     resize_bilinear,
 )
-from vortexao.images import parse_pgm, pgm_bytes, quantize_image
+from vortexao.images import bilinear_sample, parse_pgm, pgm_bytes, quantize_image
 
 
 class TestPgmRoundTrip:
@@ -169,3 +169,41 @@ class TestResizeBilinear:
     def test_minimum_size(self):
         with pytest.raises(DomainError):
             resize_bilinear(np.zeros((16, 16)), 4)
+
+
+def reference_bilinear_sample(values, rows, cols):
+    """bilinear_sample as first written, kept to pin its results bit for bit."""
+    n_r, n_c = values.shape
+    rows = np.clip(rows, 0.0, n_r - 1.0)
+    cols = np.clip(cols, 0.0, n_c - 1.0)
+    r0 = np.floor(rows).astype(np.intp)
+    c0 = np.floor(cols).astype(np.intp)
+    r1 = np.minimum(r0 + 1, n_r - 1)
+    c1 = np.minimum(c0 + 1, n_c - 1)
+    fr = rows - r0
+    fc = cols - c0
+    return (
+        values[r0, c0] * (1 - fr) * (1 - fc)
+        + values[r1, c0] * fr * (1 - fc)
+        + values[r0, c1] * (1 - fr) * fc
+        + values[r1, c1] * fr * fc
+    )
+
+
+class TestBilinearSample:
+    @pytest.mark.parametrize("shape", [(16, 16), (9, 23)])
+    def test_equals_reference_bit_for_bit(self, rng, shape):
+        values = rng.normal(size=shape)
+        # positions run past every border, so some are clamped
+        rows = rng.uniform(-3, shape[0] + 2, (40, 7))
+        cols = rng.uniform(-3, shape[1] + 2, (40, 7))
+        out = bilinear_sample(values, rows, cols)
+        assert out.shape == (40, 7)
+        np.testing.assert_array_equal(out, reference_bilinear_sample(values, rows, cols))
+
+    def test_exact_at_pixels_and_clamped_corners(self, rng):
+        values = rng.normal(size=(8, 8))
+        rows, cols = np.meshgrid(np.arange(8.0), np.arange(8.0), indexing="ij")
+        np.testing.assert_array_equal(bilinear_sample(values, rows, cols), values)
+        corners = bilinear_sample(values, np.array([-5.0, 50.0]), np.array([-5.0, 50.0]))
+        np.testing.assert_array_equal(corners, [values[0, 0], values[-1, -1]])

@@ -17,7 +17,12 @@ from vortexao import (
     psnr,
     write_report,
 )
-from vortexao.metrics import REPORT_COLUMNS, OamSpectrum
+from vortexao.dataset import desk_config, paper_config, synthesize_fields
+from vortexao.images import bilinear_sample
+from vortexao.metrics import REPORT_COLUMNS, OamSpectrum, _polar_plan
+from vortexao.pipeline import compensate, conjugate_screen
+
+MODE_RANGES = [(-10, 10), (-17, 17), (-3, 5)]
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +83,90 @@ class TestOamDecompose:
         spec = oam_decompose(make_vortex_beam(grid64, -3, 3.5e-3), (-5, 5))
         with pytest.raises(DomainError):
             mode_purity(spec, 7)
+
+
+def reference_weights(field, ell_range):
+    """oam_decompose's weights as first written: the geometry rebuilt per call."""
+    ell_min, ell_max = ell_range
+    grid = field.grid
+    n_r = grid.n // 2
+    n_theta = max(16, 4 * max(abs(ell_min), abs(ell_max)))
+    radius = grid.side / 2
+    r = (np.arange(n_r) + 0.5) * (radius / n_r)
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    x = r[:, None] * np.cos(theta)[None, :]
+    y = r[:, None] * np.sin(theta)[None, :]
+    cols = x / grid.dx + grid.n / 2 - 0.5
+    rows = y / grid.dx + grid.n / 2 - 0.5
+    u_polar = bilinear_sample(field.values.real, rows, cols) + 1j * bilinear_sample(
+        field.values.imag, rows, cols
+    )
+    basis = np.exp(-1j * np.outer(theta, np.arange(ell_min, ell_max + 1)))
+    coeff = (u_polar @ basis) / n_theta
+    powers = (r[:, None] * np.abs(coeff) ** 2).sum(axis=0)
+    return powers / powers.sum()
+
+
+def sample_fields(config, sample_id):
+    """The beam, the fields at the screen and at the receiver, and the compensated field."""
+    screen, at_screen, receiver = synthesize_fields(config, sample_id)
+    beam = make_vortex_beam(config.grid, config.ell, config.waist)
+    return [beam, at_screen, receiver, compensate(receiver, conjugate_screen(screen))]
+
+
+class TestPolarPlan:
+    @pytest.mark.parametrize(
+        "config,ids",
+        [(desk_config(41), [3, 460, 1350]), (paper_config(41), [5, 9001])],
+        ids=["desk", "paper"],
+    )
+    def test_equals_reference_bit_for_bit(self, config, ids):
+        for sample_id in ids:
+            for field in sample_fields(config, sample_id):
+                for ell_range in MODE_RANGES:
+                    np.testing.assert_array_equal(
+                        oam_decompose(field, ell_range).weights,
+                        reference_weights(field, ell_range),
+                    )
+
+    @pytest.mark.parametrize(
+        "other", [GridSpec(64, 0.013 / 64, 633e-9), GridSpec(128, 0.01 / 64, 633e-9)]
+    )
+    def test_grids_differing_in_dx_or_n_get_their_own_plan(self, grid64, other, rng):
+        fields = []
+        for grid in (grid64, other, grid64):
+            noise = rng.normal(size=(2, grid.n, grid.n)) * 0.05
+            beam = make_vortex_beam(grid, 2, grid.side / 5).values
+            fields.append(ComplexField(grid, beam * (1 + noise[0] + 1j * noise[1])))
+        for field in fields:
+            np.testing.assert_array_equal(
+                oam_decompose(field).weights, reference_weights(field, (-10, 10))
+            )
+        plan_a = _polar_plan(grid64, -10, 10)
+        plan_b = _polar_plan(other, -10, 10)
+        assert plan_a is not plan_b
+        for grid, plan in ((grid64, plan_a), (other, plan_b)):
+            radius = plan[3][:, 0]
+            assert radius.shape == (grid.n // 2,)
+            np.testing.assert_allclose(radius[-1], grid.side / 2 * (1 - 0.5 / radius.size))
+
+    def test_plan_arrays_are_read_only(self, grid64):
+        for array in _polar_plan(grid64, -10, 10):
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0
+
+    def test_cache_is_bounded_and_reused(self, grid64, rng):
+        maxsize = _polar_plan.cache_info().maxsize
+        assert maxsize is not None
+        beam = make_vortex_beam(grid64, 1, 2e-3)
+        oam_decompose(beam, (-7, 7))
+        size = _polar_plan.cache_info().currsize
+        for _ in range(20):
+            oam_decompose(ComplexField(grid64, beam.values * rng.normal()), (-7, 7))
+        assert _polar_plan.cache_info().currsize == size
+        for span in range(1, maxsize + 5):
+            oam_decompose(beam, (-span, span))
+        assert _polar_plan.cache_info().currsize == maxsize
 
 
 class TestOamSpectrum:

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vortexao import (
     CheckpointError,
@@ -15,6 +17,7 @@ from vortexao import (
     StaleTapeError,
     TrainState,
     TrainingDivergenceError,
+    VortexAOError,
     adam_step,
     backward,
     encode_input,
@@ -28,7 +31,7 @@ from vortexao import (
     save_checkpoint,
     train,
 )
-from vortexao.network import Gradients, LayerGradients
+from vortexao.network import Gradients, LayerGradients, predict_image
 
 
 def small_net(grid, n_layers=2, mode="hybrid", seed=3, spacing=None):
@@ -447,6 +450,56 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="'phase', 'amplitude'"):
             save_checkpoint(path, TrainState(net))
         assert not path.exists()
+
+
+HEADER = struct.Struct("<IIdddIB")
+
+
+class TestCorruptCheckpoint:
+    """A corrupt checkpoint raises a package error or loads into a usable network."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+        save_checkpoint(path, TrainState(small_net(GridSpec(16, 0.01 / 16, 633e-9))))
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize("dx", [1e200, 1e-200])
+    def test_corrupt_grid_spacing_rejected(self, saved, dx):
+        path, data = saved
+        # dx follows the magic, the schema version and n
+        corrupt = data[:16] + struct.pack("<d", dx) + data[24:]
+        path.write_bytes(corrupt)
+        with pytest.raises(CheckpointError, match="model.ckpt"):
+            load_checkpoint(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_truncated_flipped_or_replaced_bytes(self, saved, data):
+        path, good = saved
+        header_end = 8 + HEADER.size
+        how = data.draw(st.sampled_from(["truncate", "flip", "header", "float"]))
+        if how == "truncate":
+            corrupt = good[: data.draw(st.integers(0, len(good) - 1))]
+        elif how == "flip":
+            bit = data.draw(st.integers(0, 8 * len(good) - 1))
+            corrupt = bytearray(good)
+            corrupt[bit // 8] ^= 1 << (bit % 8)
+        else:
+            if how == "header":
+                pos = data.draw(st.integers(8, header_end - 1))
+                new = data.draw(st.binary(min_size=1, max_size=header_end - pos))
+            else:  # any float into dx, wavelength or spacing
+                pos = data.draw(st.sampled_from([16, 24, 32]))
+                new = struct.pack("<d", data.draw(st.floats()))
+            corrupt = good[:pos] + new + good[pos + len(new) :]
+        path.write_bytes(bytes(corrupt))
+        try:
+            net = load_checkpoint(path).network
+            out = predict_image(net, np.full((net.grid.n, net.grid.n), 0.5))
+        except VortexAOError:
+            return
+        assert np.all(np.isfinite(out))
 
 
 class TestLayerInvariants:

@@ -56,6 +56,13 @@ class TestMakeKernel:
         assert np.abs(h12 - h_sum).max() < 1e-10
 
 
+    @pytest.mark.parametrize("distance", [1e305, -1e305])
+    def test_overflowing_phase_rejected(self, grid32, distance):
+        # k d overflows to inf, whose exp would be NaN
+        with pytest.raises(DomainError, match="overflows"):
+            make_kernel(grid32, distance)
+
+
 class TestPropagate:
     def test_power_conserved(self, grid64, rng):
         u = random_field(grid64, rng)
