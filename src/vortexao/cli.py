@@ -4,7 +4,7 @@ Subcommands:
   gen-dataset  generate a paired screen/intensity dataset plus manifest
   train        fit a diffractive network on one turbulence level
   eval         evaluate a checkpoint (or a stub) on the test split
-  inspect      dump single artifacts (beam, screen, kernel) for debugging
+  inspect      dump a vortex beam (and its OAM spectrum) for debugging
 
 Exit codes: 0 success, 1 runtime error, 2 usage error. All outputs are
 written atomically. Every command is deterministic given its seed inputs.
@@ -49,14 +49,7 @@ from .pipeline import (
     oracle_predictor,
     zero_predictor,
 )
-from .propagation import make_kernel
-from .turbulence import (
-    STANDARD_CN2_LEVELS,
-    ScreenRng,
-    TurbulenceParams,
-    make_screen,
-    screen_variance,
-)
+from .turbulence import STANDARD_CN2_LEVELS, screen_variance
 
 DESK_GRID = 64
 DEFAULT_SIDE = 0.01
@@ -210,31 +203,14 @@ def _dump_panels(out_dir, predictor, samples, manifest) -> None:
 
 def cmd_inspect(args) -> int:
     grid = GridSpec(args.grid, DEFAULT_SIDE / args.grid, DEFAULT_WAVELENGTH)
-    if args.beam:
-        beam = make_vortex_beam(grid, args.ell, args.waist)
-        export_pgm(normalize_image(intensity(beam)), args.out)
-        print(f"wrote beam intensity (ell={args.ell}) to {args.out}")
-        if args.spectrum_csv:
-            spec = oam_decompose(beam, mode_range(args.ell))
-            lines = ["ell,weight"] + [
-                f"{ell},{w:.9e}" for ell, w in zip(spec.ells, spec.weights)
-            ]
-            atomic_write_bytes(args.spectrum_csv, ("\n".join(lines) + "\n").encode("ascii"))
-            print(f"wrote OAM spectrum to {args.spectrum_csv}")
-    elif args.screen:
-        params = TurbulenceParams.from_cn2(args.cn2)
-        screen = make_screen(params, grid, ScreenRng(args.seed or 0))
-        span = np.abs(screen.phase).max()
-        img = (screen.phase + span) / (2 * span) if span > 0 else np.zeros_like(screen.phase)
-        export_pgm(img, args.out)
-        print(f"wrote screen (cn2={args.cn2:.1e}, span ±{span:.3f} rad) to {args.out}")
-    elif args.kernel:
-        kernel = make_kernel(grid, args.distance)
-        img = (np.angle(np.fft.fftshift(kernel.h)) + np.pi) / (2 * np.pi)
-        export_pgm(img, args.out)
-        print(f"wrote kernel phase (d={args.distance}) to {args.out}")
-    else:
-        raise ConfigError("inspect needs one of --beam, --screen, --kernel")
+    beam = make_vortex_beam(grid, args.ell, args.waist)
+    export_pgm(normalize_image(intensity(beam)), args.out)
+    print(f"wrote beam intensity (ell={args.ell}) to {args.out}")
+    if args.spectrum_csv:
+        spec = oam_decompose(beam, mode_range(args.ell))
+        lines = ["ell,weight"] + [f"{ell},{w:.9e}" for ell, w in zip(spec.ells, spec.weights)]
+        atomic_write_bytes(args.spectrum_csv, ("\n".join(lines) + "\n").encode("ascii"))
+        print(f"wrote OAM spectrum to {args.spectrum_csv}")
     return 0
 
 
@@ -309,18 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--dump-images", help="directory for per-sample PGM panels")
     e.set_defaults(func=cmd_eval)
 
-    i = sub.add_parser("inspect", help="dump single artifacts")
-    what = i.add_mutually_exclusive_group(required=True)
-    what.add_argument("--beam", action="store_true")
-    what.add_argument("--screen", action="store_true")
-    what.add_argument("--kernel", action="store_true")
+    i = sub.add_parser("inspect", help="dump a vortex beam's intensity")
+    i.add_argument("--beam", action="store_true", required=True)
     i.add_argument("--out", required=True, help="output PGM path")
     i.add_argument("--grid", type=_positive_int, default=DESK_GRID)
     i.add_argument("--ell", type=int, default=-3)
     i.add_argument("--waist", type=float, default=3.5e-3)
-    i.add_argument("--cn2", type=float, default=1e-12)
-    i.add_argument("--seed", type=int, default=0)
-    i.add_argument("--distance", type=float, default=0.1)
     i.add_argument("--spectrum-csv", help="also write the beam OAM spectrum CSV")
     i.set_defaults(func=cmd_inspect)
     return parser

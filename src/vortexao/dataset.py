@@ -132,6 +132,8 @@ class DatasetConfig:
     observation: str = "fourier"
 
     def __post_init__(self):
+        if not self.levels:
+            raise ConfigError("a dataset needs at least one turbulence level")
         if self.count_per_level < 2:
             raise ConfigError("count_per_level must be at least 2")
         if not (0 < self.train_per_level < self.count_per_level):

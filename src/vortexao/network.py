@@ -24,6 +24,9 @@ the output residual ``r = dL/d(out)``:
   propagation    A <- adjoint hop (conjugated kernel)
   layer          dL/dphase = 2 Im(A * conj(v)),  dL/dlog_amp = 2 Re(A * conj(v))
                  with v the field just after the layer; then A <- A * conj(t)
+
+The chain stops at layer 1's gradients, so a pass makes L + 1 hops forward
+and L back, all on plain complex arrays.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .errors import (
     TrainingDivergenceError,
 )
 from .field import ComplexField, GridSpec, PhaseScreen
-from .propagation import PropagationKernel, make_kernel, propagate, propagate_adjoint
+from .propagation import PropagationKernel, hop, make_kernel
 
 MODES = ("phase", "amplitude", "hybrid")
 
@@ -72,20 +75,15 @@ def default_spacing(grid: GridSpec) -> float:
 class DiffractiveLayer:
     """One modulation plane: per-pixel phase and log-amplitude.
 
-    ``mode`` selects which arrays are trainable: "phase" freezes amplitude,
-    "amplitude" freezes phase, "hybrid" trains both. Amplitude is stored as
-    ``exp(log_amplitude)`` with ``log_amplitude <= 0`` so the layer is
-    passive (no gain) for any parameter value. Phase is kept unwrapped;
-    :meth:`exported_phase` reduces it modulo 2 pi.
+    Amplitude is stored as ``exp(log_amplitude)`` with ``log_amplitude <= 0``
+    so the layer is passive (no gain) for any parameter value. Phase is kept
+    unwrapped; :meth:`exported_phase` reduces it modulo 2 pi.
     """
 
-    mode: str
     phase: np.ndarray
     log_amplitude: np.ndarray
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown layer mode {self.mode!r}, expected one of {MODES}")
         self.phase = np.asarray(self.phase, dtype=np.float64)
         self.log_amplitude = np.asarray(self.log_amplitude, dtype=np.float64)
         if self.phase.shape != self.log_amplitude.shape:
@@ -104,20 +102,8 @@ class DiffractiveLayer:
         return {**self.__dict__, "_cache": None}
 
     @classmethod
-    def identity(cls, n: int, mode: str = "hybrid") -> "DiffractiveLayer":
-        return cls(mode, np.zeros((n, n)), np.zeros((n, n)))
-
-    @property
-    def trains_phase(self) -> bool:
-        return self.mode in ("phase", "hybrid")
-
-    @property
-    def trains_amplitude(self) -> bool:
-        return self.mode in ("amplitude", "hybrid")
-
-    @property
-    def amplitude(self) -> np.ndarray:
-        return np.exp(self.log_amplitude)
+    def identity(cls, n: int) -> "DiffractiveLayer":
+        return cls(np.zeros((n, n)), np.zeros((n, n)))
 
     def exported_phase(self) -> np.ndarray:
         return np.mod(self.phase, 2.0 * np.pi)
@@ -147,12 +133,18 @@ class DiffractiveNetwork:
 
     All hops (input to layer 1, between layers, last layer to output) share
     one separation, so a single kernel is precomputed and reused. Geometry
-    is fixed at construction; build a new network to change it. ``readout``
-    holds the trainable ``(gain, offset)`` of the detector readout and
-    starts at ``(READOUT_GAIN, READOUT_OFFSET)``.
+    is fixed at construction; build a new network to change it. ``mode``
+    selects which layer arrays train: "phase" freezes amplitude, "amplitude"
+    freezes phase, "hybrid" trains both. ``readout`` holds the trainable
+    ``(gain, offset)`` of the detector readout and starts at
+    ``(READOUT_GAIN, READOUT_OFFSET)``.
     """
 
-    def __init__(self, grid: GridSpec, layers: list[DiffractiveLayer], spacing: float):
+    def __init__(
+        self, grid: GridSpec, layers: list[DiffractiveLayer], spacing: float, mode: str = "hybrid"
+    ):
+        if mode not in MODES:
+            raise ConfigError(f"unknown layer mode {mode!r}, expected one of {MODES}")
         if not layers:
             raise ConfigError("network needs at least one layer")
         if not (math.isfinite(spacing) and spacing > 0):
@@ -163,6 +155,7 @@ class DiffractiveNetwork:
         self.grid = grid
         self.layers = layers
         self.spacing = float(spacing)
+        self.mode = mode
         self.kernel: PropagationKernel = make_kernel(grid, spacing)
         self.readout = np.array([READOUT_GAIN, READOUT_OFFSET])
         self._version = 0
@@ -189,7 +182,7 @@ class DiffractiveNetwork:
         """
         if spacing is None:
             spacing = default_spacing(grid)
-        layers = [DiffractiveLayer.identity(grid.n, mode) for _ in range(n_layers)]
+        layers = [DiffractiveLayer.identity(grid.n) for _ in range(n_layers)]
         if init == "random":
             g = np.random.Generator(np.random.PCG64(init_seed))
             for layer in layers:
@@ -204,7 +197,15 @@ class DiffractiveNetwork:
                 layer.phase = lens.copy()
         elif init != "identity":
             raise ConfigError(f"unknown init {init!r}")
-        return cls(grid, layers, spacing)
+        return cls(grid, layers, spacing, mode)
+
+    @property
+    def trains_phase(self) -> bool:
+        return self.mode in ("phase", "hybrid")
+
+    @property
+    def trains_amplitude(self) -> bool:
+        return self.mode in ("amplitude", "hybrid")
 
     @property
     def version(self) -> int:
@@ -216,11 +217,12 @@ class DiffractiveNetwork:
 
 @dataclass
 class ForwardTape:
-    """Intermediate planes recorded by a forward pass for the backward pass."""
+    """The planes (as arrays) and layer transmissions a forward pass used."""
 
     version: int
-    post_layer: list[ComplexField]
-    out_field: ComplexField
+    post_layer: list[np.ndarray]
+    out_field: np.ndarray
+    transmissions: list[np.ndarray]
     raw_intensity: np.ndarray
     mean_intensity: float
 
@@ -276,20 +278,21 @@ def forward(net: DiffractiveNetwork, input_field: ComplexField) -> tuple[np.ndar
     """
     if input_field.grid != net.grid:
         raise GridMismatchError("input field grid does not match the network grid")
+    h = net.kernel.h
+    transmissions = [layer.transmission() for layer in net.layers]
     post = []
-    u = input_field
-    for layer in net.layers:
-        u = propagate(u, net.kernel)
-        u = ComplexField(net.grid, u.values * layer.transmission())
+    u = input_field.values
+    for t in transmissions:
+        u = hop(u, h) * t
         post.append(u)
-    out_field = propagate(u, net.kernel)
-    raw = np.abs(out_field.values) ** 2
+    out_field = hop(u, h)
+    raw = np.abs(out_field) ** 2
     mean = float(raw.mean())
     if mean <= 0:
         raise DomainError("forward pass produced an identically zero output")
     gain, offset = net.readout
     output = offset + gain * (raw / mean - 1.0)
-    tape = ForwardTape(net.version, post, out_field, raw, mean)
+    tape = ForwardTape(net.version, post, out_field, transmissions, raw, mean)
     return output, tape
 
 
@@ -314,6 +317,7 @@ def backward(
 
     The tape must come from a forward pass of the network in its current
     parameter state; a tape recorded before an optimizer step is rejected.
+    The layer transmissions are read from the tape, never from the layers.
     """
     if tape.version != net.version:
         raise StaleTapeError(
@@ -330,17 +334,18 @@ def backward(
     d_offset = float(np.sum(residual))
     grad_i = (gain / tape.mean_intensity) * (residual - (d_gain + d_offset) / n_pix)
     # through the squared modulus: A = dL/d(conj u_out)
-    adj = ComplexField(net.grid, grad_i * tape.out_field.values)
+    adj = grad_i * tape.out_field
 
+    h_adjoint = net.kernel.h_adjoint
     grads = Gradients(readout=(d_gain, d_offset))
-    adj = propagate_adjoint(adj, net.kernel)
-    for layer, v_post in zip(reversed(net.layers), reversed(tape.post_layer)):
-        prod = adj.values * np.conj(v_post.values)
-        g_phase = 2.0 * np.imag(prod) if layer.trains_phase else np.zeros(prod.shape)
-        g_amp = 2.0 * np.real(prod) if layer.trains_amplitude else np.zeros(prod.shape)
+    for i in reversed(range(len(tape.post_layer))):
+        adj = hop(adj, h_adjoint)
+        prod = adj * np.conj(tape.post_layer[i])
+        g_phase = 2.0 * np.imag(prod) if net.trains_phase else np.zeros(prod.shape)
+        g_amp = 2.0 * np.real(prod) if net.trains_amplitude else np.zeros(prod.shape)
         grads.append(LayerGradients(g_phase, g_amp))
-        adj = ComplexField(net.grid, adj.values * np.conj(layer.transmission()))
-        adj = propagate_adjoint(adj, net.kernel)
+        if i > 0:
+            adj = adj * np.conj(tape.transmissions[i])
     grads.reverse()
     return grads
 
@@ -412,9 +417,9 @@ def adam_step(state: TrainState, gradients: Gradients) -> TrainState:
         param -= state.lr * (m_arr / bias1) / (np.sqrt(v_arr / bias2) + state.eps_hat)
 
     for layer, m, v, g in zip(net.layers, state.m, state.v, gradients):
-        if layer.trains_phase:
+        if net.trains_phase:
             update(layer.phase, m.phase, v.phase, g.phase)
-        if layer.trains_amplitude:
+        if net.trains_amplitude:
             update(layer.log_amplitude, m.log_amplitude, v.log_amplitude, g.log_amplitude)
             np.minimum(layer.log_amplitude, 0.0, out=layer.log_amplitude)
     update(net.readout, state.m_readout, state.v_readout, gradients.readout)
@@ -446,6 +451,8 @@ def train(
         raise ConfigError("training dataset is empty")
     if batch < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ConfigError(f"learning rate must be positive and finite, got {lr}")
     n = net.grid.n
     for x_img, y_img in pairs:
         # every input is checked before the first step but encoded only when
@@ -525,16 +532,11 @@ def save_checkpoint(path, state: TrainState) -> None:
     Little-endian binary: magic, version, grid n, dx, wavelength, spacing,
     layer count, mode, then per layer the phase and log-amplitude arrays as
     float64, then the Adam moments and the step count, then the readout
-    gain and offset and their Adam moments. Round-trips bit exactly. The
-    format holds one mode for all layers, so a network whose layers differ
-    in mode raises :class:`CheckpointError`.
+    gain and offset and their Adam moments. Round-trips bit exactly.
     """
     from .images import atomic_write_bytes
 
     net = state.network
-    modes = [layer.mode for layer in net.layers]
-    if len(set(modes)) != 1:
-        raise CheckpointError(f"layer modes {modes} differ; a checkpoint holds one mode")
     g = net.grid
     parts = [
         _MAGIC,
@@ -546,7 +548,7 @@ def save_checkpoint(path, state: TrainState) -> None:
             g.wavelength,
             net.spacing,
             len(net.layers),
-            _MODE_CODES[net.layers[0].mode],
+            _MODE_CODES[net.mode],
         ),
     ]
     for layer in net.layers:
@@ -599,11 +601,11 @@ def load_checkpoint(path) -> TrainState:
         phase = read_array()
         log_amp = read_array()
         try:
-            layers.append(DiffractiveLayer(mode, phase, log_amp))
+            layers.append(DiffractiveLayer(phase, log_amp))
         except ConfigError as exc:
             raise CheckpointError(f"{path}: layer {i}: {exc}") from exc
     try:
-        net = DiffractiveNetwork(GridSpec(n, dx, wavelength), layers, spacing)
+        net = DiffractiveNetwork(GridSpec(n, dx, wavelength), layers, spacing, mode)
     except (ConfigError, DomainError) as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
     m, v = [], []

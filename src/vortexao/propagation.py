@@ -58,26 +58,25 @@ def make_kernel(grid: GridSpec, distance: float) -> PropagationKernel:
     return PropagationKernel(grid, distance, np.exp(1j * phase))
 
 
-def _hop(field: ComplexField, kernel: PropagationKernel, h: np.ndarray) -> ComplexField:
-    """IFFT( FFT(u) * h ) with orthonormal transforms."""
-    _require_same_grid(field.grid, kernel.grid)
-    spec = np.fft.fft2(field.values, norm="ortho")
-    return ComplexField(field.grid, np.fft.ifft2(spec * h, norm="ortho"))
+def hop(u: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """One hop on a plain array: IFFT( FFT(u) * h ) with orthonormal transforms."""
+    return np.fft.ifft2(np.fft.fft2(u, norm="ortho") * h, norm="ortho")
 
 
 def propagate(field: ComplexField, kernel: PropagationKernel) -> ComplexField:
     """Apply the transfer function: IFFT( FFT(u) * H ). Power conserving."""
-    return _hop(field, kernel, kernel.h)
+    _require_same_grid(field.grid, kernel.grid)
+    return ComplexField(field.grid, hop(field.values, kernel.h))
 
 
 def propagate_adjoint(field: ComplexField, kernel: PropagationKernel) -> ComplexField:
     """Adjoint of :func:`propagate` under the unweighted inner product.
 
     Because the kernel is unit modulus and the transform orthonormal, the
-    adjoint equals the inverse: propagation with conj(H). This carries
-    output-plane residuals backward during gradient computation.
+    adjoint equals the inverse: propagation with conj(H).
     """
-    return _hop(field, kernel, kernel.h_adjoint)
+    _require_same_grid(field.grid, kernel.grid)
+    return ComplexField(field.grid, hop(field.values, kernel.h_adjoint))
 
 
 def layer_transmit(field: ComplexField, t: np.ndarray) -> ComplexField:

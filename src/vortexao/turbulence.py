@@ -29,8 +29,6 @@ A_T = 1.863e-2
 A_S = 1.9e-4
 A_TS = 9.41e-3
 
-EPSILON_RANGE = (1e-10, 1e-1)
-CHI_T_RANGE = (1e-10, 1e-4)
 TAU_RANGE = (-5.0, 0.0)
 
 
@@ -46,10 +44,8 @@ class TurbulenceParams:
     z : propagation distance, meters
     k0 : optical wavenumber 2 pi / wavelength, 1/m
 
-    Build instances via :meth:`from_cn2` (epsilon and chi_t derived, range
-    checks on them skipped so cn2 = 0 stays constructible) or
-    :meth:`from_dissipation` (ranges and the consistency relation
-    ``cn2 = 1e-8 epsilon^(-1/3) chi_t`` enforced).
+    Build instances via :meth:`from_cn2` (chi_t derived from epsilon, so
+    cn2 = 0 stays constructible).
     """
 
     cn2: float
@@ -90,25 +86,6 @@ class TurbulenceParams:
         if not epsilon > 0:
             raise ConfigError(f"epsilon must be positive, got {epsilon}")
         chi_t = cn2 * 1e8 * epsilon ** (1.0 / 3.0)
-        return cls(cn2, epsilon, chi_t, tau, eta, z, 2.0 * np.pi / wavelength)
-
-    @classmethod
-    def from_dissipation(
-        cls,
-        epsilon: float,
-        chi_t: float,
-        *,
-        z: float = 30.0,
-        wavelength: float = 633e-9,
-        tau: float = -2.5,
-        eta: float = 1e-3,
-    ) -> "TurbulenceParams":
-        """Construct from dissipation rates with range validation."""
-        if not (EPSILON_RANGE[0] <= epsilon <= EPSILON_RANGE[1]):
-            raise ConfigError(f"epsilon {epsilon} outside {EPSILON_RANGE}")
-        if not (CHI_T_RANGE[0] <= chi_t <= CHI_T_RANGE[1]):
-            raise ConfigError(f"chi_t {chi_t} outside {CHI_T_RANGE}")
-        cn2 = 1e-8 * epsilon ** (-1.0 / 3.0) * chi_t
         return cls(cn2, epsilon, chi_t, tau, eta, z, 2.0 * np.pi / wavelength)
 
 

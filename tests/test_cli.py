@@ -42,6 +42,14 @@ class TestGenDataset:
         b = (tmp_path / "b" / "manifest.txt").read_bytes()
         assert a == b
 
+    def test_no_levels_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        args = ["gen-dataset", "--grid", "16", "--count", "6", "--train-count", "4"]
+        rc = main(args + ["--levels", "", "--out", str(out)])
+        assert rc == 1
+        assert "level" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_count_zero_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["gen-dataset", "--out", str(tmp_path), "--count", "0"])
@@ -239,6 +247,15 @@ class TestTrainEval:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-0.01"])
+    def test_train_bad_learning_rate_runtime_error(self, cli_dataset, tmp_path, capsys, lr):
+        out = tmp_path / "run"
+        args = ["train", "--data", cli_dataset, "--level", "1", "--epochs", "1"]
+        rc = main(args + ["--lr", lr, "--out", str(out)])
+        assert rc == 1
+        assert "learning rate" in capsys.readouterr().err
+        assert list(out.glob("*.ckpt")) == []
+
     def test_train_missing_dataset_runtime_error(self, tmp_path):
         rc = main(
             [
@@ -292,12 +309,6 @@ class TestInspect:
         weights = {int(ell): float(w) for ell, w in rows}
         assert min(weights) == -17 and max(weights) == 17
         assert weights[12] > 0.99
-
-    def test_zero_turbulence_screen_is_black(self, tmp_path):
-        out = tmp_path / "screen.pgm"
-        rc = main(["inspect", "--screen", "--cn2", "0", "--grid", "32", "--out", str(out)])
-        assert rc == 0
-        assert np.all(import_pgm(out) == 0)
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -422,6 +422,22 @@ class TestLevelStorage:
         assert peak / pixels <= 2.5  # float64 images would need 8
 
 
+class TestNoLevels:
+    """A dataset needs at least one turbulence level, however it is configured."""
+
+    def test_direct_construction_rejected(self, tiny_config):
+        with pytest.raises(ConfigError, match="level"):
+            dataclasses.replace(tiny_config, levels=())
+
+    def test_manifest_with_zero_levels_rejected(self, tiny_dataset, tmp_path):
+        root, _ = tiny_dataset
+        text = (root / "manifest.txt").read_bytes()
+        assert text.count(b"\nlevels = 2\n") == 1
+        (tmp_path / "manifest.txt").write_bytes(text.replace(b"\nlevels = 2\n", b"\nlevels = 0\n"))
+        with pytest.raises(ConfigError, match="level"):
+            load_manifest(tmp_path)
+
+
 class TestBadValues:
     """A manifest value that does not parse names the file and the key."""
 

@@ -1,5 +1,6 @@
 import copy
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,10 +29,12 @@ from vortexao import (
     make_kernel,
     predict_screen,
     propagate,
+    propagate_adjoint,
     save_checkpoint,
     train,
 )
-from vortexao.network import Gradients, LayerGradients, predict_image
+from vortexao import network
+from vortexao.network import MODES, Gradients, LayerGradients, predict_image
 
 
 def small_net(grid, n_layers=2, mode="hybrid", seed=3, spacing=None):
@@ -85,7 +88,7 @@ class TestForward:
         beam = make_vortex_beam(grid64, -3, 3.5e-3)
         _, tape = forward(net, beam)
         direct = propagate(beam, make_kernel(grid64, 4 * 0.05))
-        assert np.abs(tape.out_field.values - direct.values).max() < 1e-12
+        assert np.abs(tape.out_field - direct.values).max() < 1e-12
 
     def test_single_lens_layer_focuses(self, grid64):
         spacing = 0.2
@@ -95,7 +98,7 @@ class TestForward:
         net.layers[0].phase = -k * (x**2 + y**2) / (2 * spacing)
         flat = encode_input(np.ones((64, 64)), grid64)
         _, tape = forward(net, flat)
-        out_peak = intensity(tape.out_field).max()
+        out_peak = (np.abs(tape.out_field) ** 2).max()
         in_peak = intensity(flat).max()
         assert out_peak > 10 * in_peak
 
@@ -105,7 +108,7 @@ class TestForward:
         net.readout[:] = (0.3, 0.45)
         img, _ = random_pair(grid16, rng)
         out, tape = forward(net, encode_input(img, grid16))
-        i_out = intensity(tape.out_field)
+        i_out = np.abs(tape.out_field) ** 2
         np.testing.assert_allclose(out, 0.45 + 0.3 * (i_out / i_out.mean() - 1), atol=1e-12)
         # a fresh network reads out around the zero-screen gray level
         fresh, _ = forward(small_net(grid16), encode_input(img, grid16))
@@ -192,6 +195,108 @@ class TestBackward:
             backward(net, tape, out, gt)
 
 
+def reference_backward(net, tape, output, ground_truth):
+    """The backward pass on ComplexField planes, hopping back to the input plane.
+
+    An independent statement of the adjoint chain: each transmission is read
+    from its layer and every plane is wrapped in a field, and after layer 1
+    the adjoint is carried through ``conj(t)`` and one more hop, whose result
+    nothing reads.
+    """
+    ground_truth = np.asarray(ground_truth, dtype=np.float64)
+    n_pix = output.size
+    residual = 2.0 * (output - ground_truth) / n_pix
+    gain = net.readout[0]
+    contrast = tape.raw_intensity / tape.mean_intensity - 1.0
+    d_gain = float(np.sum(residual * contrast))
+    d_offset = float(np.sum(residual))
+    grad_i = (gain / tape.mean_intensity) * (residual - (d_gain + d_offset) / n_pix)
+    adj = ComplexField(net.grid, grad_i * tape.out_field)
+    grads = Gradients(readout=(d_gain, d_offset))
+    adj = propagate_adjoint(adj, net.kernel)
+    for layer, v_post in zip(reversed(net.layers), reversed(tape.post_layer)):
+        prod = adj.values * np.conj(v_post)
+        g_phase = 2.0 * np.imag(prod) if net.trains_phase else np.zeros(prod.shape)
+        g_amp = 2.0 * np.real(prod) if net.trains_amplitude else np.zeros(prod.shape)
+        grads.append(LayerGradients(g_phase, g_amp))
+        adj = ComplexField(net.grid, adj.values * np.conj(layer.transmission()))
+        adj = propagate_adjoint(adj, net.kernel)
+    grads.reverse()
+    return grads
+
+
+def assert_same_gradients(a, b):
+    assert len(a) == len(b)
+    for ga, gb in zip(a, b):
+        np.testing.assert_array_equal(ga.phase, gb.phase)
+        np.testing.assert_array_equal(ga.log_amplitude, gb.log_amplitude)
+    np.testing.assert_array_equal(a.readout, b.readout)
+
+
+class TestArrayCore:
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_backward_equals_field_reference(self, n, mode, rng):
+        grid = GridSpec(n, 0.01 / n, 633e-9)
+        net = small_net(grid, n_layers=3, mode=mode)
+        img, gt = random_pair(grid, rng)
+        out, tape = forward(net, encode_input(img, grid))
+        assert_same_gradients(backward(net, tape, out, gt), reference_backward(net, tape, out, gt))
+
+    def test_layer_edit_after_forward_leaves_backward(self, grid16, rng):
+        # backward differentiates the parameters forward saw, read from the tape
+        net = small_net(grid16, n_layers=3)
+        img, gt = random_pair(grid16, rng)
+        out, tape = forward(net, encode_input(img, grid16))
+        before = backward(net, tape, out, gt)
+        net.layers[2].phase[4, 4] += 0.7
+        net.layers[1].log_amplitude[2, 3] -= 0.3
+        assert_same_gradients(backward(net, tape, out, gt), before)
+
+    def test_tape_holds_the_cached_transmissions(self, grid16, rng):
+        net = small_net(grid16, n_layers=3)
+        _, tape = forward(net, encode_input(random_pair(grid16, rng)[0], grid16))
+        assert len(tape.transmissions) == 3
+        for layer, t in zip(net.layers, tape.transmissions):
+            assert t is layer.transmission()
+
+    @pytest.mark.parametrize("n_layers", [1, 5])
+    def test_hop_and_transmission_counts(self, grid16, rng, monkeypatch, n_layers):
+        calls = {"hop": 0, "transmission": 0}
+        hop, transmission = network.hop, DiffractiveLayer.transmission
+
+        def counting_hop(u, h):
+            calls["hop"] += 1
+            return hop(u, h)
+
+        def counting_transmission(layer):
+            calls["transmission"] += 1
+            return transmission(layer)
+
+        net = small_net(grid16, n_layers=n_layers)
+        img, gt = random_pair(grid16, rng)
+        monkeypatch.setattr(network, "hop", counting_hop)
+        monkeypatch.setattr(DiffractiveLayer, "transmission", counting_transmission)
+        out, tape = forward(net, encode_input(img, grid16))
+        backward(net, tape, out, gt)
+        # L + 1 hops forward, L back; one transmission per layer, all in forward
+        assert calls == {"hop": 2 * n_layers + 1, "transmission": n_layers}
+
+    def test_unknown_mode_rejected(self, grid16):
+        with pytest.raises(ConfigError, match="mode"):
+            DiffractiveNetwork(grid16, [DiffractiveLayer.identity(16)], 0.05, mode="both")
+        with pytest.raises(ConfigError, match="mode"):
+            DiffractiveNetwork.build(grid16, n_layers=1, mode="phase-only")
+
+    @pytest.mark.parametrize(
+        "mode, trains",
+        [("phase", (True, False)), ("amplitude", (False, True)), ("hybrid", (True, True))],
+    )
+    def test_mode_selects_trained_arrays(self, grid16, mode, trains):
+        net = DiffractiveNetwork(grid16, [DiffractiveLayer.identity(16)], 0.05, mode=mode)
+        assert (net.trains_phase, net.trains_amplitude) == trains
+
+
 class TestAdamStep:
     def test_zero_gradient_no_motion(self, grid16):
         net = small_net(grid16)
@@ -258,7 +363,7 @@ class TestAdamStep:
             )
             adam_step(state, grads)
         for layer in net.layers:
-            amp = layer.amplitude
+            amp = np.exp(layer.log_amplitude)
             assert np.all(amp > 0) and np.all(amp <= 1.0)
 
     def test_mode_freezing_under_updates(self, grid16, rng):
@@ -316,6 +421,13 @@ class TestTrain:
         assert net.version == 0
         for layer, phase in zip(net.layers, before):
             np.testing.assert_array_equal(layer.phase, phase)
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -0.01])
+    def test_bad_learning_rate_rejected(self, grid16, rng, lr):
+        net = small_net(grid16)
+        with pytest.raises(ConfigError, match="learning rate"):
+            train(net, [random_pair(grid16, rng)], epochs=1, lr=lr)
+        assert net.version == 0
 
     def test_loss_history_length(self, grid16, rng):
         pairs = [random_pair(grid16, rng) for _ in range(4)]
@@ -440,16 +552,39 @@ class TestCheckpoint:
         net = small_net(grid16, mode="phase")
         path = tmp_path / "p.ckpt"
         save_checkpoint(path, TrainState(net))
-        assert load_checkpoint(path).network.layers[0].mode == "phase"
+        assert load_checkpoint(path).network.mode == "phase"
 
-    def test_mixed_modes_rejected(self, grid16, tmp_path):
-        # the format stores one mode for all layers
-        layers = [DiffractiveLayer.identity(16, mode) for mode in ("phase", "amplitude")]
-        net = DiffractiveNetwork(grid16, layers, spacing=0.05)
-        path = tmp_path / "mixed.ckpt"
-        with pytest.raises(CheckpointError, match="'phase', 'amplitude'"):
-            save_checkpoint(path, TrainState(net))
-        assert not path.exists()
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def fixture_state(mode):
+    """The training run whose checkpoints are stored in ``tests/data``."""
+    grid = GridSpec(8, 0.01 / 8, 633e-9)
+    net = small_net(grid, mode=mode, seed=21)
+    rng = np.random.default_rng(22)
+    pairs = [random_pair(grid, rng) for _ in range(3)]
+    state, _ = train(net, pairs, epochs=2, batch=2, lr=0.01, shuffle_seed=1)
+    return state
+
+
+class TestStoredCheckpoints:
+    """Schema-2 files written before the network held its mode stay byte-stable."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_load_and_resave_identical(self, tmp_path, mode):
+        stored = DATA / f"checkpoint_{mode}.ckpt"
+        state = load_checkpoint(stored)
+        assert state.network.mode == mode
+        path = tmp_path / "again.ckpt"
+        save_checkpoint(path, state)
+        assert path.read_bytes() == stored.read_bytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_training_reproduces_stored_bytes(self, tmp_path, mode):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, fixture_state(mode))
+        assert path.read_bytes() == (DATA / f"checkpoint_{mode}.ckpt").read_bytes()
 
 
 HEADER = struct.Struct("<IIdddIB")
@@ -505,7 +640,7 @@ class TestCorruptCheckpoint:
 class TestLayerInvariants:
     def test_rejects_positive_log_amplitude(self):
         with pytest.raises(ConfigError):
-            DiffractiveLayer("hybrid", np.zeros((8, 8)), np.full((8, 8), 0.1))
+            DiffractiveLayer(np.zeros((8, 8)), np.full((8, 8), 0.1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("slot", ["phase", "log_amplitude"])
@@ -513,7 +648,7 @@ class TestLayerInvariants:
         arrays = {"phase": np.zeros((8, 8)), "log_amplitude": np.zeros((8, 8))}
         arrays[slot][3, 5] = bad
         with pytest.raises(ConfigError, match=slot):
-            DiffractiveLayer("hybrid", **arrays)
+            DiffractiveLayer(**arrays)
 
     @pytest.mark.parametrize("spacing", [np.nan, np.inf, -np.inf])
     def test_network_rejects_non_finite_spacing(self, grid16, spacing):
@@ -521,7 +656,7 @@ class TestLayerInvariants:
             DiffractiveNetwork(grid16, [DiffractiveLayer.identity(16)], spacing)
 
     def test_exported_phase_wraps(self):
-        layer = DiffractiveLayer("phase", np.full((8, 8), 7.0), np.zeros((8, 8)))
+        layer = DiffractiveLayer(np.full((8, 8), 7.0), np.zeros((8, 8)))
         wrapped = layer.exported_phase()
         assert np.all(wrapped >= 0) and np.all(wrapped < 2 * np.pi)
         np.testing.assert_allclose(wrapped, 7.0 - 2 * np.pi)
@@ -533,16 +668,16 @@ class TestLayerInvariants:
         field = encode_input(img, grid16)
         _, tape = forward(net, field)
         for plane in tape.post_layer + [tape.out_field]:
-            assert abs(plane.power - field.power) < 1e-10 * field.power
+            power = np.sum(np.abs(plane) ** 2) * grid16.dx**2
+            assert abs(power - field.power) < 1e-10 * field.power
 
 
 def rebuilt(net):
     """A freshly built network with copies of ``net``'s arrays and readout."""
     layers = [
-        DiffractiveLayer(layer.mode, layer.phase.copy(), layer.log_amplitude.copy())
-        for layer in net.layers
+        DiffractiveLayer(layer.phase.copy(), layer.log_amplitude.copy()) for layer in net.layers
     ]
-    fresh = DiffractiveNetwork(net.grid, layers, net.spacing)
+    fresh = DiffractiveNetwork(net.grid, layers, net.spacing, net.mode)
     fresh.readout = net.readout.copy()
     return fresh
 
@@ -600,7 +735,7 @@ class TestTransmissionCache:
         np.testing.assert_array_equal(forward(net, field)[0], forward(rebuilt(net), field)[0])
 
     def test_unchanged_layer_returns_same_array(self):
-        layer = DiffractiveLayer("hybrid", np.full((8, 8), 0.3), np.full((8, 8), -0.1))
+        layer = DiffractiveLayer(np.full((8, 8), 0.3), np.full((8, 8), -0.1))
         assert layer.transmission() is layer.transmission()
         np.testing.assert_array_equal(
             layer.transmission(), np.exp(layer.log_amplitude + 1j * layer.phase)

@@ -18,6 +18,7 @@ from vortexao import (
     propagate_adjoint,
     rayleigh_sommerfeld,
 )
+from vortexao.propagation import hop
 
 
 def random_field(grid, rng):
@@ -119,6 +120,16 @@ class TestPropagate:
             lhs = np.vdot(propagate(u, k).values, v.values)
             rhs = np.vdot(u.values, propagate_adjoint(v, k).values)
             assert abs(lhs - rhs) < 1e-10 * abs(lhs)
+
+    def test_wrappers_apply_the_array_hop(self, grid32, rng):
+        u = random_field(grid32, rng)
+        k = make_kernel(grid32, 0.17)
+        np.testing.assert_array_equal(propagate(u, k).values, hop(u.values, k.h))
+        np.testing.assert_array_equal(propagate_adjoint(u, k).values, hop(u.values, k.h_adjoint))
+
+    def test_adjoint_grid_mismatch(self, grid64, grid32, rng):
+        with pytest.raises(GridMismatchError):
+            propagate_adjoint(random_field(grid64, rng), make_kernel(grid32, 0.1))
 
     def test_adjoint_kernel_is_conjugate(self, grid32):
         k = make_kernel(grid32, 0.17)

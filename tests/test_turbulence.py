@@ -29,16 +29,6 @@ class TestTurbulenceParams:
         p = TurbulenceParams.from_cn2(1e-12, epsilon=1e-9)
         assert p.cn2 == pytest.approx(1e-8 * p.epsilon ** (-1 / 3) * p.chi_t, rel=1e-12)
 
-    def test_from_dissipation_roundtrip(self):
-        p = TurbulenceParams.from_dissipation(1e-5, 1e-7)
-        assert p.cn2 == pytest.approx(1e-8 * 1e-5 ** (-1 / 3) * 1e-7, rel=1e-12)
-
-    def test_from_dissipation_range_checks(self):
-        with pytest.raises(ConfigError):
-            TurbulenceParams.from_dissipation(1.0, 1e-7)
-        with pytest.raises(ConfigError):
-            TurbulenceParams.from_dissipation(1e-5, 1e-3)
-
     @pytest.mark.parametrize("tau", [0.0, 0.5, -5.5])
     def test_tau_range(self, tau):
         with pytest.raises(ConfigError):
