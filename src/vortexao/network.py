@@ -283,7 +283,8 @@ def forward(net: DiffractiveNetwork, input_field: ComplexField) -> tuple[np.ndar
     post = []
     u = input_field.values
     for t in transmissions:
-        u = hop(u, h) * t
+        u = hop(u, h)  # a fresh buffer, so the layer multiplies in place
+        u *= t
         post.append(u)
     out_field = hop(u, h)
     raw = np.abs(out_field) ** 2
@@ -340,6 +341,8 @@ def backward(
     grads = Gradients(readout=(d_gain, d_offset))
     for i in reversed(range(len(tape.post_layer))):
         adj = hop(adj, h_adjoint)
+        # both products stay out of place as written: numpy evaluates them as
+        # conj(x) * adj from 128 x 128 up, and `adj *= conj(t)` changes last bits
         prod = adj * np.conj(tape.post_layer[i])
         g_phase = 2.0 * np.imag(prod) if net.trains_phase else np.zeros(prod.shape)
         g_amp = 2.0 * np.real(prod) if net.trains_amplitude else np.zeros(prod.shape)

@@ -14,6 +14,7 @@ independent small-grid reference; it is O(n^4) and not meant for production.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -49,18 +50,34 @@ def make_kernel(grid: GridSpec, distance: float) -> PropagationKernel:
     ``distance = 0`` gives the identity kernel; negative distances give the
     exact inverse of the corresponding positive hop, ``H(-d) = conj(H(d))``.
     """
+    lam, d = float(grid.wavelength), float(distance)
+    k = 2.0 * np.pi / lam
+    chirp = np.pi * lam * d
     f1 = np.fft.fftfreq(grid.n, d=grid.dx)
-    fx, fy = np.meshgrid(f1, f1, indexing="ij")
-    k = 2.0 * np.pi / grid.wavelength
-    phase = k * distance - np.pi * grid.wavelength * distance * (fx**2 + fy**2)
-    if not np.all(np.isfinite(phase)):
+    # |phase| <= |k d| + |chirp| max(fx^2 + fy^2), bounded in Python floats,
+    # which overflow to inf silently, so a bad value raises before numpy warns
+    if not math.isfinite(abs(k * d) + abs(chirp) * 2.0 * float(np.max(f1**2))):
         raise DomainError(f"propagation phase overflows for distance {distance} on {grid}")
+    fx, fy = np.meshgrid(f1, f1, indexing="ij")
+    phase = k * d - chirp * (fx**2 + fy**2)
     return PropagationKernel(grid, distance, np.exp(1j * phase))
 
 
 def hop(u: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """One hop on a plain array: IFFT( FFT(u) * h ) with orthonormal transforms."""
-    return np.fft.ifft2(np.fft.fft2(u, norm="ortho") * h, norm="ortho")
+    """One hop on a plain array: IFFT( FFT(u) * h ) with orthonormal transforms.
+
+    Each 2-D transform runs as two 1-D transforms in ``fft2``'s own axis
+    order, last axis first, and every step after the first works in place on
+    the one buffer the hop returns. The result equals
+    ``ifft2(fft2(u, norm="ortho") * h, norm="ortho")`` bit for bit, without
+    its intermediate arrays; ``u`` and ``h`` are only read.
+    """
+    a = np.fft.fft(u, axis=1, norm="ortho")
+    np.fft.fft(a, axis=0, norm="ortho", out=a)
+    a *= h
+    np.fft.ifft(a, axis=1, norm="ortho", out=a)
+    np.fft.ifft(a, axis=0, norm="ortho", out=a)
+    return a
 
 
 def propagate(field: ComplexField, kernel: PropagationKernel) -> ComplexField:

@@ -1,5 +1,7 @@
 import copy
+import math
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -233,8 +235,59 @@ def assert_same_gradients(a, b):
     np.testing.assert_array_equal(a.readout, b.readout)
 
 
+def reference_forward(net, input_field):
+    """The forward pass with each hop as two 2-D transforms and each layer product
+    into a new array: ``(output, post_layer, out_field)``."""
+
+    def fft2_hop(u, h):
+        return np.fft.ifft2(np.fft.fft2(u, norm="ortho") * h, norm="ortho")
+
+    h = net.kernel.h
+    post = []
+    u = input_field.values
+    for layer in net.layers:
+        u = fft2_hop(u, h) * layer.transmission()
+        post.append(u)
+    out_field = fft2_hop(u, h)
+    raw = np.abs(out_field) ** 2
+    gain, offset = net.readout
+    return offset + gain * (raw / float(raw.mean()) - 1.0), post, out_field
+
+
 class TestArrayCore:
-    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_forward_equals_fft2_reference(self, n, mode, rng):
+        grid = GridSpec(n, 0.01 / n, 633e-9)
+        net = small_net(grid, n_layers=3, mode=mode)
+        field = encode_input(random_pair(grid, rng)[0], grid)
+        before = field.values.copy()
+        out, tape = forward(net, field)
+        ref_out, ref_post, ref_field = reference_forward(net, field)
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(tape.out_field, ref_field)
+        assert len(tape.post_layer) == len(ref_post)
+        for v, ref in zip(tape.post_layer, ref_post):
+            np.testing.assert_array_equal(v, ref)
+        np.testing.assert_array_equal(field.values, before)
+
+    def test_tape_planes_are_distinct_and_survive_backward(self, grid64, rng):
+        net = small_net(grid64, n_layers=3)
+        img, gt = random_pair(grid64, rng)
+        field = encode_input(img, grid64)
+        out, tape = forward(net, field)
+        planes = [*tape.post_layer, tape.out_field, field.values]
+        for i, a in enumerate(planes):
+            for b in planes[i + 1 :]:
+                assert not np.shares_memory(a, b)
+        saved = [v.copy() for v in tape.post_layer]
+        backward(net, tape, out, gt)
+        for v, s in zip(tape.post_layer, saved):
+            np.testing.assert_array_equal(v, s)
+
+    # 256 x 256 is past the size where numpy reuses a temporary operand of a
+    # product, so a reordered product in backward changes bits there
+    @pytest.mark.parametrize("n", [16, 64, 256])
     @pytest.mark.parametrize("mode", MODES)
     def test_backward_equals_field_reference(self, n, mode, rng):
         grid = GridSpec(n, 0.01 / n, 633e-9)
@@ -608,6 +661,22 @@ class TestCorruptCheckpoint:
         with pytest.raises(CheckpointError, match="model.ckpt"):
             load_checkpoint(path)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "pos, value",
+        [(24, math.inf), (24, math.nan), (24, 1e-310), (24, 1e307), (24, 1.7e308),
+         (32, math.inf), (32, math.nan), (32, 1e305)],
+        ids=["wavelength-inf", "wavelength-nan", "wavelength-tiny", "wavelength-huge",
+             "wavelength-max", "spacing-inf", "spacing-nan", "spacing-huge"],
+    )
+    def test_overflowing_geometry_rejected_without_warning(self, saved, pos, value):
+        # the wavelength and spacing follow dx; each value here makes the
+        # propagation phase overflow or is not a valid geometry at all
+        path, data = saved
+        path.write_bytes(data[:pos] + struct.pack("<d", value) + data[pos + 8 :])
+        with pytest.raises(CheckpointError, match="model.ckpt"):
+            load_checkpoint(path)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_truncated_flipped_or_replaced_bytes(self, saved, data):
@@ -630,7 +699,10 @@ class TestCorruptCheckpoint:
             corrupt = good[:pos] + new + good[pos + len(new) :]
         path.write_bytes(bytes(corrupt))
         try:
-            net = load_checkpoint(path).network
+            with warnings.catch_warnings():
+                # loading rejects a bad value before numpy can warn about it
+                warnings.simplefilter("error", RuntimeWarning)
+                net = load_checkpoint(path).network
             out = predict_image(net, np.full((net.grid.n, net.grid.n), 0.5))
         except VortexAOError:
             return

@@ -57,11 +57,28 @@ class TestMakeKernel:
         assert np.abs(h12 - h_sum).max() < 1e-10
 
 
-    @pytest.mark.parametrize("distance", [1e305, -1e305])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("distance", [1e305, -1e305, float("inf"), float("nan")])
     def test_overflowing_phase_rejected(self, grid32, distance):
-        # k d overflows to inf, whose exp would be NaN
+        # k d overflows to inf or is not a number, and exp of either is NaN;
+        # the check comes before numpy touches the value, so nothing warns
         with pytest.raises(DomainError, match="overflows"):
             make_kernel(grid32, distance)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "wavelength, distance",
+        [(1e-310, 0.1), (1e-310, 0.0), (1e300, 1e10)],
+        ids=["k-overflows", "k-overflows-at-zero-distance", "chirp-overflows"],
+    )
+    def test_overflowing_wavelength_rejected(self, wavelength, distance):
+        with pytest.raises(DomainError, match="overflows"):
+            make_kernel(GridSpec(16, 0.01 / 16, wavelength), distance)
+
+    def test_largest_finite_phase_accepted(self):
+        # a huge wavelength with a short hop keeps every phase finite
+        k = make_kernel(GridSpec(16, 0.01 / 16, 1e300), 0.1)
+        assert np.all(np.isfinite(k.h))
 
 
 class TestPropagate:
@@ -134,6 +151,34 @@ class TestPropagate:
     def test_adjoint_kernel_is_conjugate(self, grid32):
         k = make_kernel(grid32, 0.17)
         np.testing.assert_array_equal(k.h_adjoint, np.conj(k.h))
+
+
+def fft2_hop(u, h):
+    """The hop as two 2-D transforms, the statement :func:`hop` must equal."""
+    return np.fft.ifft2(np.fft.fft2(u, norm="ortho") * h, norm="ortho")
+
+
+class TestHop:
+    @pytest.mark.parametrize("n", [16, 64, 128, 256])
+    def test_equals_fft2_hop_bit_for_bit(self, n, rng):
+        grid = GridSpec(n, 0.01 / n, 633e-9)
+        k = make_kernel(grid, 0.37)
+        u = random_field(grid, rng).values
+        for h in (k.h, k.h_adjoint):
+            np.testing.assert_array_equal(hop(u, h), fft2_hop(u, h))
+
+    def test_reads_inputs_and_returns_a_fresh_buffer(self, grid64, rng):
+        u = random_field(grid64, rng).values
+        h = make_kernel(grid64, 0.2).h.copy()
+        u_before, h_before = u.copy(), h.copy()
+        u.flags.writeable = False
+        h.flags.writeable = False
+        out = hop(u, h)
+        np.testing.assert_array_equal(u, u_before)
+        np.testing.assert_array_equal(h, h_before)
+        assert out.flags.writeable and out.dtype == np.complex128
+        assert not np.shares_memory(out, u) and not np.shares_memory(out, h)
+        assert not np.shares_memory(out, hop(u, h))
 
 
 class TestLayerTransmit:
