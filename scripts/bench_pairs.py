@@ -18,8 +18,9 @@ metrics), each side's median and quartiles per end-to-end metric, and per
 metric the pairs the change won, the ties, the change of the medians in
 percent, the parent's interquartile range and whether the two sides read
 equal values in every pair. "Better" follows ``BENCHMARK.json``. Other
-workloads and other top-level keys already in ``--out`` are kept, so one
-file can collect several invocations.
+workloads and other top-level keys already in ``--out`` are kept, and pairs
+run on a workload already recorded for the same commits are added to its
+runs, so one file can collect several invocations.
 """
 
 from __future__ import annotations
@@ -135,14 +136,24 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
 
+    record = {}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as fh:
+            record = json.load(fh)
+    if record.get("commits", commits) != commits:
+        raise SystemExit(f"{args.out} records other commits: {record['commits']}")
+    earlier = record.get("workloads", {}).get(args.workload, {"seeds": [], "runs": []})
+    seeds = [args.first_seed + i for i in range(args.pairs)]
+    if set(seeds) & set(earlier["seeds"]):
+        raise SystemExit(f"{args.out} already has {args.workload} runs on some of seeds {seeds}")
+
     base = args.workdir or tempfile.mkdtemp(prefix="bench-pairs-")
     dirs = {side: os.path.join(base, side) for side in SIDES}
+    runs = list(earlier["runs"])
     try:
         for side in SIDES:
             unpack(commits[side], dirs[side])
-        seeds = [args.first_seed + i for i in range(args.pairs)]
-        runs = []
-        for pair, seed in enumerate(seeds):
+        for pair, seed in enumerate(seeds, start=len(earlier["seeds"])):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for position, side in enumerate(order):
                 r = run_once(dirs[side], args.workload, seed, seconds)
@@ -154,12 +165,6 @@ def main(argv=None) -> int:
         if args.workdir is None:
             shutil.rmtree(base, ignore_errors=True)
 
-    record = {}
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as fh:
-            record = json.load(fh)
-    if record.get("commits", commits) != commits:
-        raise SystemExit(f"{args.out} records other commits: {record['commits']}")
     record.update({
         "what": "loopbench end-to-end metrics, parent commit vs change, alternating pairs",
         "command": f"python3 loopbench/run.py --workload W --seed S --seconds {seconds:g} "
@@ -170,8 +175,9 @@ def main(argv=None) -> int:
         "run_order": "pairs alternate which side runs first: parent first in pairs 0, 2, 4, ...",
         "quartiles": "numpy.percentile 25 and 75 over the runs of one side",
     })
+    seeds = earlier["seeds"] + seeds
     record.setdefault("workloads", {})[args.workload] = {
-        "seeds": seeds, "pairs": args.pairs, "runs": runs, **summarize(runs, better)}
+        "seeds": seeds, "pairs": len(seeds), "runs": runs, **summarize(runs, better)}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

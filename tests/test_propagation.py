@@ -168,14 +168,12 @@ class TestHop:
             np.testing.assert_array_equal(hop(u, h), fft2_hop(u, h))
 
     def test_reads_inputs_and_returns_a_fresh_buffer(self, grid64, rng):
+        # read-only inputs: a write into either would raise
         u = random_field(grid64, rng).values
-        h = make_kernel(grid64, 0.2).h.copy()
-        u_before, h_before = u.copy(), h.copy()
+        h = make_kernel(grid64, 0.2).h
         u.flags.writeable = False
         h.flags.writeable = False
         out = hop(u, h)
-        np.testing.assert_array_equal(u, u_before)
-        np.testing.assert_array_equal(h, h_before)
         assert out.flags.writeable and out.dtype == np.complex128
         assert not np.shares_memory(out, u) and not np.shares_memory(out, h)
         assert not np.shares_memory(out, hop(u, h))
