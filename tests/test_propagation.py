@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,6 +179,24 @@ class TestHop:
         assert out.flags.writeable and out.dtype == np.complex128
         assert not np.shares_memory(out, u) and not np.shares_memory(out, h)
         assert not np.shares_memory(out, hop(u, h))
+
+    def test_allocates_only_its_output(self, rng):
+        # the fft2 statement peaks at three arrays; the in-place hop at one
+        grid = GridSpec(256, 0.01 / 256, 633e-9)
+        u = random_field(grid, rng).values
+        h = make_kernel(grid, 0.2).h
+        hop(u, h)  # the first call may build and cache FFT plans
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = hop(u, h)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 1.5 * out.nbytes
 
 
 class TestLayerTransmit:
