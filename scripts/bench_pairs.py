@@ -2,7 +2,7 @@
 """Run loopbench on two commits in alternating pairs and record every run.
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD \\
-        --workload desk-train --pairs 10 --first-seed 2101 --out BENCH_21.json
+        --workload desk-train --pairs 10 --first-seed 1 --out BENCH_pairs.json
 
 Each commit's committed files are unpacked with ``git archive`` into two
 sibling directories, ``parent`` and ``change``, under ``--workdir`` (a fresh
