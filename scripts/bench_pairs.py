@@ -9,8 +9,9 @@ sibling directories, ``parent`` and ``change``, under ``--workdir`` (a fresh
 temporary directory by default, removed afterwards). The two names have the
 same length, so neither side's paths are longer than the other's. Pair ``i``
 runs ``python3 loopbench/run.py --workload W --seed S+i --seconds T
---trace 0`` once in each directory, the parent first in even pairs and the
-change first in odd ones.
+--trace 0`` once in each directory, with ``T`` the ``run_seconds`` of
+``BENCHMARK.json``, the parent first in even pairs and the change first in
+odd ones.
 
 The results go into ``--out`` under ``workloads[W]``: every run (side,
 directory, seed, pair, position in the pair, round count, correctness and
@@ -121,8 +122,6 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--first-seed", type=int, required=True,
                    help="pair i runs seed FIRST_SEED + i on both sides")
-    p.add_argument("--seconds", type=float, default=None,
-                   help="run length; BENCHMARK.json's run_seconds by default")
     p.add_argument("--out", required=True, help="JSON file to create or extend")
     p.add_argument("--workdir", default=None,
                    help="where to unpack the two commits; a temporary directory by default")
@@ -134,7 +133,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
 
     record = {}
     if os.path.exists(args.out):

@@ -14,7 +14,6 @@ independent small-grid reference; it is O(n^4) and not meant for production.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -50,16 +49,14 @@ def make_kernel(grid: GridSpec, distance: float) -> PropagationKernel:
     ``distance = 0`` gives the identity kernel; negative distances give the
     exact inverse of the corresponding positive hop, ``H(-d) = conj(H(d))``.
     """
-    lam, d = float(grid.wavelength), float(distance)
-    k = 2.0 * np.pi / lam
-    chirp = np.pi * lam * d
     f1 = np.fft.fftfreq(grid.n, d=grid.dx)
-    # |phase| <= |k d| + |chirp| max(fx^2 + fy^2), bounded in Python floats,
-    # which overflow to inf silently, so a bad value raises before numpy warns
-    if not math.isfinite(abs(k * d) + abs(chirp) * 2.0 * float(np.max(f1**2))):
-        raise DomainError(f"propagation phase overflows for distance {distance} on {grid}")
     fx, fy = np.meshgrid(f1, f1, indexing="ij")
-    phase = k * d - chirp * (fx**2 + fy**2)
+    k = 2.0 * np.pi / grid.wavelength
+    # an overflowing or non-finite phase is rejected just below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = k * distance - np.pi * grid.wavelength * distance * (fx**2 + fy**2)
+    if not np.all(np.isfinite(phase)):
+        raise DomainError(f"propagation phase overflows for distance {distance} on {grid}")
     return PropagationKernel(grid, distance, np.exp(1j * phase))
 
 

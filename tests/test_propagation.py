@@ -63,7 +63,7 @@ class TestMakeKernel:
     @pytest.mark.parametrize("distance", [1e305, -1e305, float("inf"), float("nan")])
     def test_overflowing_phase_rejected(self, grid32, distance):
         # k d overflows to inf or is not a number, and exp of either is NaN;
-        # the check comes before numpy touches the value, so nothing warns
+        # the phase is checked before exp, and building it warns about nothing
         with pytest.raises(DomainError, match="overflows"):
             make_kernel(grid32, distance)
 
