@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import re
 import sys
 
 import numpy as np
@@ -74,7 +75,8 @@ def _dataset_config(args) -> DatasetConfig:
     seed = pick(args.seed, "base_seed", int, base.base_seed)
     side = pick(None, "grid_side", float, base.grid.side)
     wavelength = pick(None, "wavelength", float, base.grid.wavelength)
-    grid = GridSpec(grid_n, side / grid_n, wavelength)
+    # GridSpec rejects a bad n before it reads dx, so n = 0 is never divided by
+    grid = GridSpec(grid_n, side / grid_n if grid_n else side, wavelength)
     level_indices = args.levels if args.levels is not None else list(range(len(base.levels)))
     levels = tuple(base.levels[i] for i in level_indices)
     return dataclasses.replace(
@@ -184,9 +186,9 @@ def cmd_eval(args) -> int:
 
 
 def _epoch_from_name(path) -> int:
-    stem = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    digits = "".join(ch for ch in stem if ch.isdigit())
-    return int(digits) if digits else 0
+    """The epoch of a checkpoint named ``epoch_NNN`` as ``train`` writes it, else 0."""
+    found = re.search(r"epoch_(\d+)", os.path.basename(os.fspath(path)))
+    return int(found.group(1)) if found else 0
 
 
 def _dump_panels(out_dir, predictor, samples, manifest) -> None:

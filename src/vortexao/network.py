@@ -235,12 +235,23 @@ class LayerGradients:
     log_amplitude: np.ndarray
 
 
-class Gradients(list):
-    """Per-layer :class:`LayerGradients` plus ``readout``, ``(dL/dgain, dL/doffset)``."""
+class Gradients:
+    """Layer gradients as one ``(L, 2, n, n)`` array, plus the readout's.
 
-    def __init__(self, layers=(), readout=(0.0, 0.0)):
-        super().__init__(layers)
+    ``params[i]`` holds layer i's phase and log-amplitude gradients, zero
+    where the mode freezes them; ``readout`` holds ``(dL/dgain, dL/doffset)``.
+    ``grads[i]`` is a :class:`LayerGradients` of views into ``params[i]``.
+    """
+
+    def __init__(self, params, readout=(0.0, 0.0)):
+        self.params = np.asarray(params, dtype=np.float64)
         self.readout = np.array(readout, dtype=np.float64)
+
+    def __len__(self) -> int:
+        return len(self.params)
+
+    def __getitem__(self, i: int) -> LayerGradients:
+        return LayerGradients(*self.params[i])
 
 
 def _check_input_image(img: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -338,29 +349,31 @@ def backward(
     adj = grad_i * tape.out_field
 
     h_adjoint = net.kernel.h_adjoint
-    grads = Gradients(readout=(d_gain, d_offset))
-    for i in reversed(range(len(tape.post_layer))):
+    n_layers = len(tape.post_layer)
+    params = np.zeros((n_layers, 2, *output.shape))
+    for i in reversed(range(n_layers)):
         adj = hop(adj, h_adjoint)
         # both products stay out of place as written: numpy evaluates them as
         # conj(x) * adj from 128 x 128 up, and `adj *= conj(t)` changes last bits
         prod = adj * np.conj(tape.post_layer[i])
-        g_phase = 2.0 * np.imag(prod) if net.trains_phase else np.zeros(prod.shape)
-        g_amp = 2.0 * np.real(prod) if net.trains_amplitude else np.zeros(prod.shape)
-        grads.append(LayerGradients(g_phase, g_amp))
+        # written straight into the slices: a temporary and a copy slow train() at 256
+        if net.trains_phase:
+            np.multiply(prod.imag, 2.0, out=params[i, 0])
+        if net.trains_amplitude:
+            np.multiply(prod.real, 2.0, out=params[i, 1])
         if i > 0:
             adj = adj * np.conj(tape.transmissions[i])
-    grads.reverse()
-    return grads
+    return Gradients(params, readout=(d_gain, d_offset))
 
 
 @dataclass
 class TrainState:
     """Network plus Adam accumulators.
 
-    ``m`` and ``v`` hold the per-layer moments, ``m_readout`` and
-    ``v_readout`` those of the readout ``(gain, offset)``. ``adam_step``
-    updates the network parameters in place (single writer) and returns the
-    same state for chaining.
+    ``moments[i]`` holds layer i's Adam m and v, each laid out like
+    ``Gradients.params[i]``; ``m_readout`` and ``v_readout`` hold the readout's.
+    ``adam_step`` updates the network parameters in place (single writer)
+    and returns the same state for chaining.
     """
 
     network: DiffractiveNetwork
@@ -369,22 +382,14 @@ class TrainState:
     beta2: float = 0.999
     eps_hat: float = 1e-8
     step: int = 0
-    m: list[LayerGradients] = dataclass_field(default_factory=list)
-    v: list[LayerGradients] = dataclass_field(default_factory=list)
+    moments: np.ndarray | None = None
     m_readout: np.ndarray = dataclass_field(default_factory=lambda: np.zeros(2))
     v_readout: np.ndarray = dataclass_field(default_factory=lambda: np.zeros(2))
 
     def __post_init__(self):
-        if not self.m:
+        if self.moments is None:
             n = self.network.grid.n
-            self.m = [
-                LayerGradients(np.zeros((n, n)), np.zeros((n, n)))
-                for _ in self.network.layers
-            ]
-            self.v = [
-                LayerGradients(np.zeros((n, n)), np.zeros((n, n)))
-                for _ in self.network.layers
-            ]
+            self.moments = np.zeros((len(self.network.layers), 2, 2, n, n))
 
 
 def adam_step(state: TrainState, gradients: Gradients) -> TrainState:
@@ -395,13 +400,14 @@ def adam_step(state: TrainState, gradients: Gradients) -> TrainState:
     log-amplitudes are clamped to <= 0 so layers stay passive.
     """
     net = state.network
-    if len(gradients) != len(net.layers):
-        raise GridMismatchError("gradient list length does not match layer count")
-    for i, g in enumerate(gradients):
-        if not (np.all(np.isfinite(g.phase)) and np.all(np.isfinite(g.log_amplitude))):
-            raise TrainingDivergenceError(
-                f"non-finite gradient for layer {i} at step {state.step + 1}"
-            )
+    expected = (len(net.layers), 2, net.grid.n, net.grid.n)
+    if gradients.params.shape != expected:
+        raise GridMismatchError(f"gradient shape {gradients.params.shape}, expected {expected}")
+    finite = np.isfinite(gradients.params).all(axis=(1, 2, 3))
+    if not finite.all():
+        raise TrainingDivergenceError(
+            f"non-finite gradient for layer {int(np.argmin(finite))} at step {state.step + 1}"
+        )
     if not np.all(np.isfinite(gradients.readout)):
         raise TrainingDivergenceError(
             f"non-finite readout gradient at step {state.step + 1}"
@@ -419,11 +425,11 @@ def adam_step(state: TrainState, gradients: Gradients) -> TrainState:
         v_arr += (1.0 - b2) * grad**2
         param -= state.lr * (m_arr / bias1) / (np.sqrt(v_arr / bias2) + state.eps_hat)
 
-    for layer, m, v, g in zip(net.layers, state.m, state.v, gradients):
+    for layer, (m, v), g in zip(net.layers, state.moments, gradients.params):
         if net.trains_phase:
-            update(layer.phase, m.phase, v.phase, g.phase)
+            update(layer.phase, m[0], v[0], g[0])
         if net.trains_amplitude:
-            update(layer.log_amplitude, m.log_amplitude, v.log_amplitude, g.log_amplitude)
+            update(layer.log_amplitude, m[1], v[1], g[1])
             np.minimum(layer.log_amplitude, 0.0, out=layer.log_amplitude)
     update(net.readout, state.m_readout, state.v_readout, gradients.readout)
     net.bump_version()
@@ -482,14 +488,10 @@ def train(
                 if acc is None:
                     acc = grads
                 else:
-                    for a, g in zip(acc, grads):
-                        a.phase += g.phase
-                        a.log_amplitude += g.log_amplitude
+                    acc.params += grads.params
                     acc.readout += grads.readout
             scale = 1.0 / len(idx)
-            for a in acc:
-                a.phase *= scale
-                a.log_amplitude *= scale
+            acc.params *= scale
             acc.readout *= scale
             adam_step(state, acc)
         losses.append(epoch_loss / len(pairs))
@@ -534,8 +536,8 @@ def save_checkpoint(path, state: TrainState) -> None:
 
     Little-endian binary: magic, version, grid n, dx, wavelength, spacing,
     layer count, mode, then per layer the phase and log-amplitude arrays as
-    float64, then the Adam moments and the step count, then the readout
-    gain and offset and their Adam moments. Round-trips bit exactly.
+    float64, then ``state.moments`` in C order and the step count, then the
+    readout gain and offset and their Adam moments. Round-trips bit exactly.
     """
     from .images import atomic_write_bytes
 
@@ -557,11 +559,7 @@ def save_checkpoint(path, state: TrainState) -> None:
     for layer in net.layers:
         parts.append(layer.phase.astype("<f8").tobytes())
         parts.append(layer.log_amplitude.astype("<f8").tobytes())
-    for m, v in zip(state.m, state.v):
-        parts.append(m.phase.astype("<f8").tobytes())
-        parts.append(m.log_amplitude.astype("<f8").tobytes())
-        parts.append(v.phase.astype("<f8").tobytes())
-        parts.append(v.log_amplitude.astype("<f8").tobytes())
+    parts.append(state.moments.astype("<f8").tobytes())
     parts.append(
         struct.pack("<Qdddd", state.step, state.lr, state.beta1, state.beta2, state.eps_hat)
     )
@@ -586,35 +584,22 @@ def load_checkpoint(path) -> TrainState:
         raise CheckpointError(f"{path}: unknown layer mode code {mode_code}")
     mode = _MODE_NAMES[mode_code]
     pos = 8 + header.size
-    arr_bytes = n * n * 8
-    expected = (
-        pos + n_layers * 2 * arr_bytes + n_layers * 4 * arr_bytes + 8 + 32 + _READOUT.size
-    )
+    count = 6 * n_layers * n * n  # the layer arrays, then the moments
+    expected = pos + 8 * count + 8 + 32 + _READOUT.size
     if len(data) != expected:
         raise CheckpointError(f"{path}: size {len(data)} != expected {expected}")
-
-    def read_array():
-        nonlocal pos
-        arr = np.frombuffer(data[pos : pos + arr_bytes], dtype="<f8").reshape(n, n).copy()
-        pos += arr_bytes
-        return arr
-
+    arrays = np.frombuffer(data, "<f8", count, pos).reshape(3 * n_layers, 2, n, n)
+    pos += 8 * count
     layers = []
-    for i in range(n_layers):
-        phase = read_array()
-        log_amp = read_array()
+    for i, (phase, log_amp) in enumerate(arrays[:n_layers]):
         try:
-            layers.append(DiffractiveLayer(phase, log_amp))
+            layers.append(DiffractiveLayer(phase.copy(), log_amp.copy()))
         except ConfigError as exc:
             raise CheckpointError(f"{path}: layer {i}: {exc}") from exc
     try:
         net = DiffractiveNetwork(GridSpec(n, dx, wavelength), layers, spacing, mode)
     except (ConfigError, DomainError) as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-    m, v = [], []
-    for _ in range(n_layers):
-        m.append(LayerGradients(read_array(), read_array()))
-        v.append(LayerGradients(read_array(), read_array()))
     step, lr, beta1, beta2, eps_hat = struct.unpack_from("<Qdddd", data, pos)
     pos += struct.calcsize("<Qdddd")
     readout = np.array(_READOUT.unpack_from(data, pos)).reshape(3, 2)
@@ -628,8 +613,7 @@ def load_checkpoint(path) -> TrainState:
         beta2=beta2,
         eps_hat=eps_hat,
         step=step,
-        m=m,
-        v=v,
+        moments=arrays[n_layers:].reshape(n_layers, 2, 2, n, n).copy(),
         m_readout=readout[1].copy(),
         v_readout=readout[2].copy(),
     )

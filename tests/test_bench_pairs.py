@@ -1,0 +1,72 @@
+"""``scripts/bench_pairs.summarize`` on synthetic runs with known answers."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def summarize():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.summarize
+
+
+def runs_of(parent: dict, change: dict, rounds=(5, 6)) -> list[dict]:
+    """One run per side and pair; ``parent[name][p]`` is pair p's reading."""
+    runs = []
+    pairs = len(next(iter(parent.values())))
+    for p in range(pairs):
+        for side, values, r in (("parent", parent, rounds[0]), ("change", change, rounds[1])):
+            runs.append({"side": side, "pair": p, "rounds": r,
+                         "metrics": {name: v[p] for name, v in values.items()}})
+    return runs[::-1]  # the summary must not depend on the order of the runs
+
+
+def test_quartiles_and_medians(summarize):
+    out = summarize(runs_of({"a": [5, 1, 4, 2, 3]}, {"a": [10, 30, 20, 50, 40]}), {"a": "higher"})
+    assert out["parent"]["a"] == {"median": 3.0, "q1": 2.0, "q3": 4.0, "n": 5}
+    assert out["change"]["a"] == {"median": 30.0, "q1": 20.0, "q3": 40.0, "n": 5}
+    # numpy.percentile interpolates linearly between ranks
+    out = summarize(runs_of({"a": [1, 2, 3, 4]}, {"a": [1, 2, 3, 4]}), {"a": "higher"})
+    assert out["parent"]["a"] == {"median": 2.5, "q1": 1.75, "q3": 3.25, "n": 4}
+    assert out["pairwise"]["a"]["parent_iqr"] == 1.5
+    assert out["parent"]["rounds"] == [5] * 4 and out["change"]["rounds"] == [6] * 4
+
+
+@pytest.mark.parametrize("better, wins", [("higher", 3), ("lower", 1)])
+def test_wins_follow_the_direction_and_ties_count_apart(summarize, better, wins):
+    parent = {"m": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}
+    change = {"m": [2.0, 2.0, 4.0, 5.0, 4.0, 6.0]}  # up, tie, up, up, down, tie
+    pairwise = summarize(runs_of(parent, change), {"m": better})["pairwise"]["m"]
+    assert pairwise["change_better_pairs"] == wins
+    assert pairwise["ties"] == 2
+    assert pairwise["pairs"] == 6
+    assert pairwise["bit_identical_every_pair"] is False
+
+
+def test_median_change_and_parent_iqr(summarize):
+    parent = {"up": [10.0, 20.0, 30.0], "zero": [0.0, 0.0, 0.0]}
+    change = {"up": [12.0, 24.0, 36.0], "zero": [1.0, 1.0, 1.0]}
+    pairwise = summarize(runs_of(parent, change), {"up": "higher", "zero": "lower"})["pairwise"]
+    assert pairwise["up"]["median_change_pct"] == pytest.approx(20.0)
+    assert pairwise["up"]["parent_iqr"] == 10.0
+    assert pairwise["up"]["change_better_pairs"] == 3
+    # a zero parent median has no relative change
+    assert pairwise["zero"]["median_change_pct"] is None
+    assert pairwise["zero"]["change_better_pairs"] == 0
+
+
+def test_bit_identical_only_when_every_pair_ties(summarize):
+    parent = {"loss": [0.25, 0.5, 0.125], "rate": [1.0, 2.0, 3.0]}
+    change = {"loss": [0.25, 0.5, 0.125], "rate": [1.0, 2.0, 3.5]}
+    pairwise = summarize(runs_of(parent, change), {"loss": "lower", "rate": "higher"})["pairwise"]
+    assert pairwise["loss"]["bit_identical_every_pair"] is True
+    assert pairwise["loss"]["ties"] == 3 and pairwise["loss"]["change_better_pairs"] == 0
+    assert pairwise["loss"]["median_change_pct"] == 0.0
+    assert pairwise["rate"]["bit_identical_every_pair"] is False
+    assert pairwise["rate"]["ties"] == 2 and pairwise["rate"]["change_better_pairs"] == 1

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from vortexao.cli import main
+from vortexao.cli import _epoch_from_name, main
 from vortexao.images import import_pgm
 
 
@@ -123,6 +123,35 @@ class TestGenDataset:
         assert not (tmp_path / "data").exists()
 
 
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_config_file_bad_grid_size_exits_1(self, tmp_path, capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"grid_n = {value}\n")
+        rc = main(["gen-dataset", "--out", str(tmp_path / "data"), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: grid size must be")
+        assert "Traceback" not in err
+        assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize(
+    "path, epoch",
+    [
+        ("epoch_010.ckpt", 10),
+        ("run/epoch_050.ckpt", 50),
+        ("run2/epoch_003.ckpt", 3),
+        ("run2_epoch_010.ckpt", 10),
+        ("epoch_1200.ckpt", 1200),
+        ("ckpt-e10-lr0.01.ckpt", 0),
+        ("model3.ckpt", 0),
+        ("epoch.ckpt", 0),
+    ],
+)
+def test_epoch_read_from_the_name_train_writes(path, epoch):
+    assert _epoch_from_name(path) == epoch
+
+
 class TestTrainEval:
     def test_train_writes_checkpoints_and_loss_csv(self, cli_dataset, tmp_path):
         out = tmp_path / "run"
@@ -193,6 +222,7 @@ class TestTrainEval:
         lines = report.read_text().strip().split("\n")
         assert lines[0] == "sample_id,level,mp_distorted,mp_compensated,psnr,epoch"
         assert len(lines) == 3  # two test samples in that level
+        assert all(row.split(",")[-1] == "2" for row in lines[1:])
 
     def test_eval_oracle_stub_and_dump_images(self, cli_dataset, tmp_path):
         report = tmp_path / "oracle.csv"

@@ -16,6 +16,7 @@ from vortexao import (
     DiffractiveLayer,
     DiffractiveNetwork,
     DomainError,
+    GridMismatchError,
     GridSpec,
     StaleTapeError,
     TrainState,
@@ -36,7 +37,7 @@ from vortexao import (
     train,
 )
 from vortexao import network
-from vortexao.network import MODES, Gradients, LayerGradients, predict_image
+from vortexao.network import MODES, Gradients, predict_image
 
 
 def small_net(grid, n_layers=2, mode="hybrid", seed=3, spacing=None):
@@ -187,6 +188,30 @@ class TestBackward:
         assert all(np.all(g.log_amplitude == 0) for g in grads)
         assert any(np.abs(g.phase).max() > 0 for g in grads)
 
+    @pytest.mark.parametrize("mode, frozen", [("phase", 1), ("amplitude", 0)])
+    def test_frozen_slice_is_exactly_zero(self, grid16, rng, mode, frozen):
+        net = small_net(grid16, n_layers=3, mode=mode)
+        img, gt = random_pair(grid16, rng)
+        out, tape = forward(net, encode_input(img, grid16))
+        grads = backward(net, tape, out, gt)
+        assert grads.params.shape == (3, 2, 16, 16)
+        frozen_slice = grads.params[:, frozen]
+        assert np.all(frozen_slice == 0) and not np.any(np.signbit(frozen_slice))
+        assert np.all(np.abs(grads.params[:, 1 - frozen]).max(axis=(1, 2)) > 0)
+
+    def test_layer_gradients_are_views_of_params(self, grid16, rng):
+        net = small_net(grid16, n_layers=3)
+        img, gt = random_pair(grid16, rng)
+        out, tape = forward(net, encode_input(img, grid16))
+        grads = backward(net, tape, out, gt)
+        assert len(grads) == 3 and len(list(grads)) == 3
+        for i, g in enumerate(grads):
+            for k, arr in enumerate((g.phase, g.log_amplitude)):
+                np.testing.assert_array_equal(arr, grads.params[i, k])
+                assert np.shares_memory(arr, grads.params[i, k])
+        grads[2].log_amplitude[5, 6] = 7.5
+        assert grads.params[2, 1, 5, 6] == 7.5
+
     def test_stale_tape_rejected(self, grid16, rng):
         net = small_net(grid16)
         img, gt = random_pair(grid16, rng)
@@ -214,17 +239,16 @@ def reference_backward(net, tape, output, ground_truth):
     d_offset = float(np.sum(residual))
     grad_i = (gain / tape.mean_intensity) * (residual - (d_gain + d_offset) / n_pix)
     adj = ComplexField(net.grid, grad_i * tape.out_field)
-    grads = Gradients(readout=(d_gain, d_offset))
+    layer_grads = []
     adj = propagate_adjoint(adj, net.kernel)
     for layer, v_post in zip(reversed(net.layers), reversed(tape.post_layer)):
         prod = adj.values * np.conj(v_post)
         g_phase = 2.0 * np.imag(prod) if net.trains_phase else np.zeros(prod.shape)
         g_amp = 2.0 * np.real(prod) if net.trains_amplitude else np.zeros(prod.shape)
-        grads.append(LayerGradients(g_phase, g_amp))
+        layer_grads.append((g_phase, g_amp))
         adj = ComplexField(net.grid, adj.values * np.conj(layer.transmission()))
         adj = propagate_adjoint(adj, net.kernel)
-    grads.reverse()
-    return grads
+    return Gradients(layer_grads[::-1], readout=(d_gain, d_offset))
 
 
 def assert_same_gradients(a, b):
@@ -355,9 +379,7 @@ class TestAdamStep:
         net = small_net(grid16)
         before = [layer.phase.copy() for layer in net.layers]
         state = TrainState(net)
-        zeros = Gradients(
-            LayerGradients(np.zeros((16, 16)), np.zeros((16, 16))) for _ in net.layers
-        )
+        zeros = Gradients(np.zeros((len(net.layers), 2, 16, 16)))
         adam_step(state, zeros)
         assert state.step == 1
         for layer, keep in zip(net.layers, before):
@@ -367,8 +389,9 @@ class TestAdamStep:
         # with a constant gradient the bias-corrected step tends to -lr*sign(g)
         net = DiffractiveNetwork.build(grid16, n_layers=1, spacing=0.5)
         state = TrainState(net, lr=0.01)
-        g = np.full((16, 16), 0.37)
-        grads = Gradients([LayerGradients(g, np.zeros((16, 16)))])
+        params = np.zeros((1, 2, 16, 16))
+        params[0, 0] = 0.37
+        grads = Gradients(params)
         for _ in range(50):
             adam_step(state, grads)
         before = net.layers[0].phase.copy()
@@ -379,26 +402,20 @@ class TestAdamStep:
     def test_nan_gradient_rejected(self, grid16):
         net = small_net(grid16)
         state = TrainState(net)
-        bad = Gradients(
-            LayerGradients(np.full((16, 16), np.nan), np.zeros((16, 16)))
-            for _ in net.layers
-        )
+        params = np.zeros((len(net.layers), 2, 16, 16))
+        params[:, 0] = np.nan
         with pytest.raises(TrainingDivergenceError):
-            adam_step(state, bad)
+            adam_step(state, Gradients(params))
 
     def test_nan_readout_gradient_rejected(self, grid16):
         net = small_net(grid16)
-        zeros = [
-            LayerGradients(np.zeros((16, 16)), np.zeros((16, 16))) for _ in net.layers
-        ]
+        zeros = np.zeros((len(net.layers), 2, 16, 16))
         with pytest.raises(TrainingDivergenceError):
             adam_step(TrainState(net), Gradients(zeros, readout=(np.nan, 0.0)))
 
     def test_readout_follows_its_gradient(self, grid16):
         net = small_net(grid16)
-        zeros = [
-            LayerGradients(np.zeros((16, 16)), np.zeros((16, 16))) for _ in net.layers
-        ]
+        zeros = np.zeros((len(net.layers), 2, 16, 16))
         before = net.readout.copy()
         adam_step(TrainState(net, lr=0.01), Gradients(zeros, readout=(2.0, -3.0)))
         # the first bias-corrected Adam step moves each scalar by lr against its sign
@@ -408,13 +425,7 @@ class TestAdamStep:
         net = small_net(grid16)
         state = TrainState(net, lr=0.1)
         for _ in range(20):
-            grads = Gradients(
-                LayerGradients(
-                    rng.normal(0, 1, (16, 16)), rng.normal(0, 1, (16, 16))
-                )
-                for _ in net.layers
-            )
-            adam_step(state, grads)
+            adam_step(state, Gradients(rng.normal(0, 1, (len(net.layers), 2, 16, 16))))
         for layer in net.layers:
             amp = np.exp(layer.log_amplitude)
             assert np.all(amp > 0) and np.all(amp <= 1.0)
@@ -423,13 +434,29 @@ class TestAdamStep:
         net = small_net(grid16, mode="amplitude")
         phases = [layer.phase.copy() for layer in net.layers]
         state = TrainState(net)
-        grads = Gradients(
-            LayerGradients(rng.normal(0, 1, (16, 16)), rng.normal(0, 1, (16, 16)))
-            for _ in net.layers
-        )
-        adam_step(state, grads)
+        adam_step(state, Gradients(rng.normal(0, 1, (len(net.layers), 2, 16, 16))))
         for layer, keep in zip(net.layers, phases):
             np.testing.assert_array_equal(layer.phase, keep)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 2, 16, 16), (3, 2, 16, 16), (2, 2, 8, 8), (2, 1, 16, 16), (2, 16, 16)],
+        ids=["fewer-layers", "more-layers", "other-grid", "one-array-per-layer", "flat"],
+    )
+    def test_wrong_gradient_shape_rejected(self, grid16, shape):
+        net = small_net(grid16, n_layers=2)
+        state = TrainState(net)
+        with pytest.raises(GridMismatchError, match="gradient shape"):
+            adam_step(state, Gradients(np.zeros(shape)))
+        assert state.step == 0 and net.version == 0
+
+    def test_non_finite_gradient_names_first_bad_layer(self, grid16):
+        net = small_net(grid16, n_layers=3)
+        params = np.zeros((3, 2, 16, 16))
+        params[1, 1, 3, 4] = np.inf
+        params[2, 0, 0, 0] = np.nan
+        with pytest.raises(TrainingDivergenceError, match="layer 1 at step 1"):
+            adam_step(TrainState(net), Gradients(params))
 
 
 class TestTrain:
@@ -543,11 +570,26 @@ class TestCheckpoint:
         for a, b in zip(net.layers, loaded.network.layers):
             np.testing.assert_array_equal(a.phase, b.phase)
             np.testing.assert_array_equal(a.log_amplitude, b.log_amplitude)
-        for ma, mb in zip(state.m, loaded.m):
-            np.testing.assert_array_equal(ma.phase, mb.phase)
+        np.testing.assert_array_equal(loaded.moments, state.moments)
         path2 = tmp_path / "model2.ckpt"
         save_checkpoint(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_moment_block_is_the_moments_array(self, grid16, rng, tmp_path):
+        # layout: header, the (L, 2, n, n) layer block, then the (L, 2, 2, n, n)
+        # moment block (m or v, then phase or log-amplitude), both C order
+        state, _ = train(small_net(grid16), [random_pair(grid16, rng)], epochs=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, state)
+        data = path.read_bytes()
+        start = 8 + struct.calcsize("<IIdddIB")
+        layers = np.stack([(layer.phase, layer.log_amplitude) for layer in state.network.layers])
+        assert data[start : start + layers.nbytes] == layers.astype("<f8").tobytes()
+        start += layers.nbytes
+        assert state.moments.shape == (2, 2, 2, 16, 16)
+        block = data[start : start + state.moments.nbytes]
+        assert block == state.moments.astype("<f8").tobytes()
+        assert np.abs(state.moments[:, 1]).min() > 0  # v is positive once a step ran
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
