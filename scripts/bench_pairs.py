@@ -4,7 +4,9 @@
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD \\
         --workload desk-train --pairs 10 --first-seed 1 --out BENCH_pairs.json
 
-Each commit's committed files are unpacked with ``git archive`` into two
+``--workload`` may be repeated; without it every workload of
+``BENCHMARK.json`` runs, one after another, each on the same seeds. Each
+commit's committed files are unpacked once with ``git archive`` into two
 sibling directories, ``parent`` and ``change``, under ``--workdir`` (a fresh
 temporary directory by default, removed afterwards). The two names have the
 same length, so neither side's paths are longer than the other's. Pair ``i``
@@ -13,7 +15,8 @@ runs ``python3 loopbench/run.py --workload W --seed S+i --seconds T
 ``BENCHMARK.json``, the parent first in even pairs and the change first in
 odd ones.
 
-The results go into ``--out`` under ``workloads[W]``: every run (side,
+The results go into ``--out`` under ``workloads[W]``, written after each
+workload: every run (side,
 directory, seed, pair, position in the pair, round count, correctness and
 metrics), each side's median and quartiles per end-to-end metric, and per
 metric the pairs the change won, the ties, the change of the medians in
@@ -114,11 +117,13 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
-def main(argv=None) -> int:
+def parse_args(argv, workloads: list[str]) -> argparse.Namespace:
+    """The options; ``workloads`` are the names ``--workload`` may take, the default."""
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--parent", required=True, help="parent commit")
     p.add_argument("--change", required=True, help="changed commit")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", action="append", choices=workloads,
+                   help="a workload to run; repeat for several (default: all, in order)")
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--first-seed", type=int, required=True,
                    help="pair i runs seed FIRST_SEED + i on both sides")
@@ -128,12 +133,20 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
+    if args.workload is None:
+        args.workload = list(workloads)
+    elif len(set(args.workload)) < len(args.workload):
+        p.error("--workload names a workload twice")
+    return args
 
-    commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
+
+def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
+    args = parse_args(argv, [w["name"] for w in bench["workloads"]])
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
+    commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
 
     record = {}
     if os.path.exists(args.out):
@@ -141,28 +154,11 @@ def main(argv=None) -> int:
             record = json.load(fh)
     if record.get("commits", commits) != commits:
         raise SystemExit(f"{args.out} records other commits: {record['commits']}")
-    earlier = record.get("workloads", {}).get(args.workload, {"seeds": [], "runs": []})
     seeds = [args.first_seed + i for i in range(args.pairs)]
-    if set(seeds) & set(earlier["seeds"]):
-        raise SystemExit(f"{args.out} already has {args.workload} runs on some of seeds {seeds}")
-
-    base = args.workdir or tempfile.mkdtemp(prefix="bench-pairs-")
-    dirs = {side: os.path.join(base, side) for side in SIDES}
-    runs = list(earlier["runs"])
-    try:
-        for side in SIDES:
-            unpack(commits[side], dirs[side])
-        for pair, seed in enumerate(seeds, start=len(earlier["seeds"])):
-            order = SIDES if pair % 2 == 0 else SIDES[::-1]
-            for position, side in enumerate(order):
-                r = run_once(dirs[side], args.workload, seed, seconds)
-                runs.append({"side": side, "dir": side, "seed": seed, "pair": pair,
-                             "position_in_pair": position, **r})
-                print(f"{args.workload} pair {pair} seed {seed} {side}: rounds {r['rounds']}, "
-                      f"correct {r['correct']}, failed {r['failed']}", file=sys.stderr)
-    finally:
-        if args.workdir is None:
-            shutil.rmtree(base, ignore_errors=True)
+    for workload in args.workload:
+        earlier = record.get("workloads", {}).get(workload, {"seeds": []})
+        if set(seeds) & set(earlier["seeds"]):
+            raise SystemExit(f"{args.out} already has {workload} runs on some of seeds {seeds}")
 
     record.update({
         "what": "loopbench end-to-end metrics, parent commit vs change, alternating pairs",
@@ -174,12 +170,33 @@ def main(argv=None) -> int:
         "run_order": "pairs alternate which side runs first: parent first in pairs 0, 2, 4, ...",
         "quartiles": "numpy.percentile 25 and 75 over the runs of one side",
     })
-    seeds = earlier["seeds"] + seeds
-    record.setdefault("workloads", {})[args.workload] = {
-        "seeds": seeds, "pairs": len(seeds), "runs": runs, **summarize(runs, better)}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=1)
-        fh.write("\n")
+    base = args.workdir or tempfile.mkdtemp(prefix="bench-pairs-")
+    dirs = {side: os.path.join(base, side) for side in SIDES}
+    try:
+        for side in SIDES:
+            unpack(commits[side], dirs[side])
+        for workload in args.workload:
+            earlier = record.setdefault("workloads", {}).get(
+                workload, {"seeds": [], "runs": []})
+            runs = list(earlier["runs"])
+            for pair, seed in enumerate(seeds, start=len(earlier["seeds"])):
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for position, side in enumerate(order):
+                    r = run_once(dirs[side], workload, seed, seconds)
+                    runs.append({"side": side, "dir": side, "seed": seed, "pair": pair,
+                                 "position_in_pair": position, **r})
+                    print(f"{workload} pair {pair} seed {seed} {side}: rounds {r['rounds']}, "
+                          f"correct {r['correct']}, failed {r['failed']}", file=sys.stderr)
+            all_seeds = earlier["seeds"] + seeds
+            record["workloads"][workload] = {
+                "seeds": all_seeds, "pairs": len(all_seeds), "runs": runs,
+                **summarize(runs, better)}
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(record, fh, indent=1)
+                fh.write("\n")
+    finally:
+        if args.workdir is None:
+            shutil.rmtree(base, ignore_errors=True)
     return 0
 
 

@@ -75,8 +75,7 @@ def _dataset_config(args) -> DatasetConfig:
     seed = pick(args.seed, "base_seed", int, base.base_seed)
     side = pick(None, "grid_side", float, base.grid.side)
     wavelength = pick(None, "wavelength", float, base.grid.wavelength)
-    # GridSpec rejects a bad n before it reads dx, so n = 0 is never divided by
-    grid = GridSpec(grid_n, side / grid_n if grid_n else side, wavelength)
+    grid = GridSpec.from_side(grid_n, side, wavelength)
     level_indices = args.levels if args.levels is not None else list(range(len(base.levels)))
     levels = tuple(base.levels[i] for i in level_indices)
     return dataclasses.replace(
@@ -204,7 +203,7 @@ def _dump_panels(out_dir, predictor, samples, manifest) -> None:
 
 
 def cmd_inspect(args) -> int:
-    grid = GridSpec(args.grid, DEFAULT_SIDE / args.grid, DEFAULT_WAVELENGTH)
+    grid = GridSpec.from_side(args.grid, DEFAULT_SIDE, DEFAULT_WAVELENGTH)
     beam = make_vortex_beam(grid, args.ell, args.waist)
     export_pgm(normalize_image(intensity(beam)), args.out)
     print(f"wrote beam intensity (ell={args.ell}) to {args.out}")

@@ -15,6 +15,9 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateInputError, DomainError, GridMismatchError
 
+# the largest grid side in samples: one complex128 plane of it takes 4 GiB
+MAX_GRID_N = 2**14
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -23,7 +26,8 @@ class GridSpec:
     Parameters
     ----------
     n : int
-        Samples per side; a power of two, at least 8 (FFT friendly).
+        Samples per side; a power of two from 8 to ``MAX_GRID_N`` (FFT
+        friendly).
     dx : float
         Grid spacing in meters.
     wavelength : float
@@ -39,13 +43,18 @@ class GridSpec:
     wavelength: float
 
     def __post_init__(self):
-        if self.n < 8 or (self.n & (self.n - 1)) != 0:
-            raise ConfigError(f"grid size must be a power of two >= 8, got {self.n}")
+        _check_grid_n(self.n)
         area = self.dx * self.dx  # intensities scale as 1 / area, powers as n^2 area
         if not (self.dx > 0 and np.finfo(float).tiny <= area and area * self.n**2 < math.inf):
             raise ConfigError(f"grid spacing {self.dx} gives no finite, nonzero pixel area")
         if not (math.isfinite(self.wavelength) and self.wavelength > 0):
             raise ConfigError(f"wavelength must be positive and finite, got {self.wavelength}")
+
+    @classmethod
+    def from_side(cls, n: int, side: float, wavelength: float) -> "GridSpec":
+        """The grid of ``n`` samples across ``side`` meters; ``n`` is checked first."""
+        _check_grid_n(n)
+        return cls(n, side / n, wavelength)
 
     @property
     def side(self) -> float:
@@ -61,6 +70,11 @@ class GridSpec:
         c = self.axis()
         yy, xx = np.meshgrid(c, c, indexing="ij")
         return xx, yy
+
+
+def _check_grid_n(n: int) -> None:
+    if not 8 <= n <= MAX_GRID_N or (n & (n - 1)) != 0:
+        raise ConfigError(f"grid size must be a power of two from 8 to {MAX_GRID_N}, got {n}")
 
 
 def _require_same_grid(a: GridSpec, b: GridSpec) -> None:

@@ -26,7 +26,11 @@ the output residual ``r = dL/d(out)``:
                  with v the field just after the layer; then A <- A * conj(t)
 
 The chain stops at layer 1's gradients, so a pass makes L + 1 hops forward
-and L back, all on plain complex arrays.
+and L back, all on plain complex arrays. The same core runs on one plane
+``(n, n)`` or on a stack ``(k, n, n)`` of independent samples: every sum and
+mean is taken per plane, over the last two axes, and each plane's result is
+bit-identical to a pass on that plane alone. ``train`` sends each mini-batch
+through it in stacks of about ``CHUNK_PIXELS`` pixels.
 """
 
 from __future__ import annotations
@@ -57,6 +61,17 @@ MODES = ("phase", "amplitude", "hybrid")
 # (std about 0.1)
 READOUT_GAIN = 0.08
 READOUT_OFFSET = 0.5
+
+# pixels per training pass: train stacks max(1, CHUNK_PIXELS // n**2) samples,
+# 8 at 64 x 64, 2 at 128 x 128 and 1 from 256 x 256 up, which spreads numpy's
+# per-call cost over several planes without growing the tape at paper scale
+CHUNK_PIXELS = 2**15
+
+# numpy computes ``a * b`` as ``b * a`` when b is a temporary of at least
+# 256 KiB that it can reuse as the output, and a complex product is not
+# symmetric in its last bit; backward fixes the order by the size of one plane
+# so that a stack rounds as its planes would alone
+_ELIDE_BYTES = 256 * 1024
 
 
 def default_spacing(grid: GridSpec) -> float:
@@ -217,14 +232,19 @@ class DiffractiveNetwork:
 
 @dataclass
 class ForwardTape:
-    """The planes (as arrays) and layer transmissions a forward pass used."""
+    """The planes (as arrays) and layer transmissions a forward pass used.
+
+    Planes are ``(n, n)`` for one sample and ``(k, n, n)`` for a stack;
+    ``mean_intensity`` holds each plane's mean, shaped to broadcast against
+    them (``(1, 1)`` or ``(k, 1, 1)``).
+    """
 
     version: int
     post_layer: list[np.ndarray]
     out_field: np.ndarray
     transmissions: list[np.ndarray]
     raw_intensity: np.ndarray
-    mean_intensity: float
+    mean_intensity: np.ndarray
 
 
 @dataclass
@@ -241,6 +261,9 @@ class Gradients:
     ``params[i]`` holds layer i's phase and log-amplitude gradients, zero
     where the mode freezes them; ``readout`` holds ``(dL/dgain, dL/doffset)``.
     ``grads[i]`` is a :class:`LayerGradients` of views into ``params[i]``.
+    For a stack of k samples, :func:`backward` returns ``(L, 2, k, n, n)``
+    and ``(2, k)`` arrays: sample s's gradients are ``params[:, :, s]`` and
+    ``readout[:, s]``.
     """
 
     def __init__(self, params, readout=(0.0, 0.0)):
@@ -273,10 +296,14 @@ def encode_input(img: np.ndarray, grid: GridSpec) -> ComplexField:
     reproduces the image (up to the overall power normalization), then
     normalizes to unit total power.
     """
-    img = _check_input_image(img, grid)
+    return ComplexField(grid, _encode(_check_input_image(img, grid), grid.dx))
+
+
+def _encode(img: np.ndarray, dx: float) -> np.ndarray:
+    """:func:`encode_input`'s field for one checked image or a stack of them."""
     u = np.sqrt(np.clip(img, 0.0, None)).astype(np.complex128)
-    u /= np.sqrt(np.sum(np.abs(u) ** 2) * grid.dx**2)
-    return ComplexField(grid, u)
+    u /= np.sqrt(np.sum(np.abs(u) ** 2, axis=(-2, -1), keepdims=True) * dx**2)
+    return u
 
 
 def forward(net: DiffractiveNetwork, input_field: ComplexField) -> tuple[np.ndarray, ForwardTape]:
@@ -289,18 +316,22 @@ def forward(net: DiffractiveNetwork, input_field: ComplexField) -> tuple[np.ndar
     """
     if input_field.grid != net.grid:
         raise GridMismatchError("input field grid does not match the network grid")
+    return _forward(net, input_field.values)
+
+
+def _forward(net: DiffractiveNetwork, u: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
+    """:func:`forward` on one input plane ``(n, n)`` or a stack ``(k, n, n)``."""
     h = net.kernel.h
     transmissions = [layer.transmission() for layer in net.layers]
     post = []
-    u = input_field.values
     for t in transmissions:
         u = hop(u, h)  # a fresh buffer, so the layer multiplies in place
         u *= t
         post.append(u)
     out_field = hop(u, h)
     raw = np.abs(out_field) ** 2
-    mean = float(raw.mean())
-    if mean <= 0:
+    mean = raw.mean(axis=(-2, -1), keepdims=True)
+    if np.any(mean <= 0):
         raise DomainError("forward pass produced an identically zero output")
     gain, offset = net.readout
     output = offset + gain * (raw / mean - 1.0)
@@ -308,15 +339,20 @@ def forward(net: DiffractiveNetwork, input_field: ComplexField) -> tuple[np.ndar
     return output, tape
 
 
-def loss_mse(output: np.ndarray, ground_truth: np.ndarray) -> float:
-    """Pixel-mean squared error between two equally shaped images."""
+def loss_mse(output: np.ndarray, ground_truth: np.ndarray):
+    """Pixel-mean squared error between two equally shaped images.
+
+    A float for two ``(n, n)`` images; for two ``(k, n, n)`` stacks, the
+    array of the k plane-by-plane errors.
+    """
     output = np.asarray(output, dtype=np.float64)
     ground_truth = np.asarray(ground_truth, dtype=np.float64)
     if output.shape != ground_truth.shape:
         raise GridMismatchError(
             f"image shapes differ: {output.shape} vs {ground_truth.shape}"
         )
-    return float(np.mean((output - ground_truth) ** 2))
+    mse = np.mean((output - ground_truth) ** 2, axis=(-2, -1))
+    return float(mse) if output.ndim == 2 else mse
 
 
 def backward(
@@ -330,20 +366,21 @@ def backward(
     The tape must come from a forward pass of the network in its current
     parameter state; a tape recorded before an optimizer step is rejected.
     The layer transmissions are read from the tape, never from the layers.
+    For a stack of samples the gradients are per sample, see :class:`Gradients`.
     """
     if tape.version != net.version:
         raise StaleTapeError(
             f"tape recorded at version {tape.version}, network now at {net.version}"
         )
     ground_truth = np.asarray(ground_truth, dtype=np.float64)
-    n_pix = output.size
+    n_pix = output.shape[-2] * output.shape[-1]
     residual = 2.0 * (output - ground_truth) / n_pix  # dL/d(output)
 
     # through the readout: output = offset + gain * (I / mean(I) - 1)
     gain = net.readout[0]
     contrast = tape.raw_intensity / tape.mean_intensity - 1.0
-    d_gain = float(np.sum(residual * contrast))
-    d_offset = float(np.sum(residual))
+    d_gain = np.sum(residual * contrast, axis=(-2, -1), keepdims=True)
+    d_offset = np.sum(residual, axis=(-2, -1), keepdims=True)
     grad_i = (gain / tape.mean_intensity) * (residual - (d_gain + d_offset) / n_pix)
     # through the squared modulus: A = dL/d(conj u_out)
     adj = grad_i * tape.out_field
@@ -351,19 +388,21 @@ def backward(
     h_adjoint = net.kernel.h_adjoint
     n_layers = len(tape.post_layer)
     params = np.zeros((n_layers, 2, *output.shape))
+    # both products take their operands in the order numpy gives one plane
+    swap = tape.out_field.itemsize * n_pix >= _ELIDE_BYTES
     for i in reversed(range(n_layers)):
         adj = hop(adj, h_adjoint)
-        # both products stay out of place as written: numpy evaluates them as
-        # conj(x) * adj from 128 x 128 up, and `adj *= conj(t)` changes last bits
-        prod = adj * np.conj(tape.post_layer[i])
+        c = np.conj(tape.post_layer[i])
+        prod = np.multiply(c, adj, out=c) if swap else np.multiply(adj, c, out=c)
         # written straight into the slices: a temporary and a copy slow train() at 256
         if net.trains_phase:
             np.multiply(prod.imag, 2.0, out=params[i, 0])
         if net.trains_amplitude:
             np.multiply(prod.real, 2.0, out=params[i, 1])
         if i > 0:
-            adj = adj * np.conj(tape.transmissions[i])
-    return Gradients(params, readout=(d_gain, d_offset))
+            c = np.conj(tape.transmissions[i])
+            adj = np.multiply(c, adj, out=adj) if swap else np.multiply(adj, c, out=adj)
+    return Gradients(params, readout=(d_gain[..., 0, 0], d_offset[..., 0, 0]))
 
 
 @dataclass
@@ -448,11 +487,13 @@ def train(
     """Shuffled mini-batch training with Adam.
 
     ``pairs`` is a sequence of (input image, target image) arrays in [0, 1],
-    such as ``training_pairs``, which decodes a pair when it is indexed. Batch
-    gradients are sample means accumulated in a fixed order, so identical
-    seeds reproduce identical loss curves. Returns the train state and the
-    per-epoch mean sample loss. ``on_epoch(epoch, state, loss)`` runs after
-    each epoch, for checkpointing.
+    such as ``training_pairs``, which decodes a pair when it is indexed. Each
+    mini-batch goes through :func:`backward` in stacks of up to
+    ``max(1, CHUNK_PIXELS // n**2)`` samples. Batch gradients are sample means
+    accumulated one sample at a time in draw order, so identical seeds
+    reproduce identical loss curves, equal bit for bit to one pass per sample.
+    Returns the train state and the per-epoch mean sample loss.
+    ``on_epoch(epoch, state, loss)`` runs after each epoch, for checkpointing.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
@@ -472,6 +513,7 @@ def train(
 
     state = TrainState(net, lr=lr)
     rng = np.random.Generator(np.random.PCG64(shuffle_seed))
+    chunk = max(1, CHUNK_PIXELS // n**2)
     losses: list[float] = []
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(pairs))
@@ -479,17 +521,21 @@ def train(
         for start in range(0, len(order), batch):
             idx = order[start : start + batch]
             acc: Gradients | None = None
-            for j in idx:
-                x_img, y_img = pairs[j]  # a lazy sequence decodes the pair here, once
-                target = np.asarray(y_img, dtype=np.float64)
-                output, tape = forward(net, encode_input(x_img, net.grid))
-                epoch_loss += loss_mse(output, target)
-                grads = backward(net, tape, output, target)
-                if acc is None:
-                    acc = grads
-                else:
-                    acc.params += grads.params
-                    acc.readout += grads.readout
+            for first in range(0, len(idx), chunk):
+                # a lazy sequence decodes each pair here, once
+                drawn = [pairs[j] for j in idx[first : first + chunk]]
+                x = np.stack([_check_input_image(x_img, net.grid) for x_img, _ in drawn])
+                y = np.stack([np.asarray(y_img, dtype=np.float64) for _, y_img in drawn])
+                output, tape = _forward(net, _encode(x, net.grid.dx))
+                grads = backward(net, tape, output, y)
+                # summed sample by sample in draw order, as one pass per sample would
+                for s, loss in enumerate(loss_mse(output, y).tolist()):
+                    epoch_loss += loss
+                    if acc is None:
+                        acc = Gradients(grads.params[:, :, s].copy(), grads.readout[:, s])
+                    else:
+                        acc.params += grads.params[:, :, s]
+                        acc.readout += grads.readout[:, s]
             scale = 1.0 / len(idx)
             acc.params *= scale
             acc.readout *= scale

@@ -63,17 +63,19 @@ def make_kernel(grid: GridSpec, distance: float) -> PropagationKernel:
 def hop(u: np.ndarray, h: np.ndarray) -> np.ndarray:
     """One hop on a plain array: IFFT( FFT(u) * h ) with orthonormal transforms.
 
+    ``u`` is one plane ``(n, n)`` or a stack ``(k, n, n)`` of them; the
+    transforms run over the last two axes, so every plane hops on its own.
     Each 2-D transform runs as two 1-D transforms in ``fft2``'s own axis
     order, last axis first, and every step after the first works in place on
-    the one buffer the hop returns. The result equals
+    the one buffer the hop returns. Each plane of the result equals
     ``ifft2(fft2(u, norm="ortho") * h, norm="ortho")`` bit for bit, without
     its intermediate arrays; ``u`` and ``h`` are only read.
     """
-    a = np.fft.fft(u, axis=1, norm="ortho")
-    np.fft.fft(a, axis=0, norm="ortho", out=a)
+    a = np.fft.fft(u, axis=-1, norm="ortho")
+    np.fft.fft(a, axis=-2, norm="ortho", out=a)
     a *= h
-    np.fft.ifft(a, axis=1, norm="ortho", out=a)
-    np.fft.ifft(a, axis=0, norm="ortho", out=a)
+    np.fft.ifft(a, axis=-1, norm="ortho", out=a)
+    np.fft.ifft(a, axis=-2, norm="ortho", out=a)
     return a
 
 

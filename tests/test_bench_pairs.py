@@ -1,19 +1,27 @@
-"""``scripts/bench_pairs.summarize`` on synthetic runs with known answers."""
+"""``scripts/bench_pairs``: ``summarize`` on synthetic runs with known answers,
+and the options that choose the workloads."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "bench_pairs.py"
 
 
 @pytest.fixture(scope="module")
-def summarize():
+def bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.summarize
+    return module
+
+
+@pytest.fixture(scope="module")
+def summarize(bench_pairs):
+    return bench_pairs.summarize
 
 
 def runs_of(parent: dict, change: dict, rounds=(5, 6)) -> list[dict]:
@@ -70,3 +78,60 @@ def test_bit_identical_only_when_every_pair_ties(summarize):
     assert pairwise["loss"]["median_change_pct"] == 0.0
     assert pairwise["rate"]["bit_identical_every_pair"] is False
     assert pairwise["rate"]["ties"] == 2 and pairwise["rate"]["change_better_pairs"] == 1
+
+
+REQUIRED = ["--parent", "p", "--change", "c", "--pairs", "2", "--first-seed", "7",
+            "--out", "o.json"]
+NAMES = ["desk-train", "paper-predict", "desk-sweep"]
+
+
+def test_every_workload_by_default(bench_pairs):
+    assert bench_pairs.parse_args(REQUIRED, NAMES).workload == NAMES
+
+
+def test_workload_repeats_in_the_given_order(bench_pairs):
+    args = bench_pairs.parse_args(
+        REQUIRED + ["--workload", "desk-sweep", "--workload", "desk-train"], NAMES)
+    assert args.workload == ["desk-sweep", "desk-train"]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--workload", "desk"],
+    ["--workload", "desk-train", "--workload", "desk-train"],
+    ["--pairs", "0"],
+], ids=["unknown", "twice", "no-pairs"])
+def test_bad_options_are_usage_errors(bench_pairs, capsys, extra):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.parse_args(REQUIRED + extra, NAMES)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_one_call_records_every_workload(bench_pairs, monkeypatch, tmp_path):
+    """Without ``--workload``, each workload of BENCHMARK.json runs on the same seeds."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = [m["name"] for m in bench["end_to_end"]]
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((Path(checkout).name, workload, seed, seconds))
+        return {"rounds": 3, "correct": True, "attempted": 1, "failed": 0,
+                "metrics": {name: float(seed) for name in metrics}}
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1])
+    monkeypatch.setattr(bench_pairs, "unpack", lambda commit, dest: Path(dest).mkdir(parents=True))
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    argv = REQUIRED[:-1] + [str(out), "--workdir", str(tmp_path / "work")]
+    assert bench_pairs.main(argv) == 0
+    record = json.loads(out.read_text())
+    names = [w["name"] for w in bench["workloads"]]
+    assert list(record["workloads"]) == names
+    assert [c[1] for c in calls] == [w for w in names for _ in range(4)]
+    for name in names:
+        workload = record["workloads"][name]
+        assert workload["seeds"] == [7, 8] and workload["pairs"] == 2
+        assert [(r["seed"], r["side"]) for r in workload["runs"]] == [
+            (7, "parent"), (7, "change"), (8, "change"), (8, "parent")]
+        assert workload["pairwise"]["train_loss"]["bit_identical_every_pair"] is True
+    assert {c[3] for c in calls} == {bench["run_seconds"]}

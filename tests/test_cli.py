@@ -134,6 +134,18 @@ class TestGenDataset:
         assert "Traceback" not in err
         assert not (tmp_path / "data").exists()
 
+    # 2**1100 overflows a float division, 2**80 a grid no machine can hold
+    @pytest.mark.parametrize("exponent", [80, 1100], ids=["2**80", "2**1100"])
+    def test_config_file_huge_grid_size_exits_1(self, tmp_path, capsys, exponent):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"grid_n = {2**exponent}\n")
+        rc = main(["gen-dataset", "--out", str(tmp_path / "data"), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: grid size must be a power of two from 8 to 16384")
+        assert "Traceback" not in err
+        assert not (tmp_path / "data").exists()
+
 
 @pytest.mark.parametrize(
     "path, epoch",
@@ -339,6 +351,15 @@ class TestInspect:
         weights = {int(ell): float(w) for ell, w in rows}
         assert min(weights) == -17 and max(weights) == 17
         assert weights[12] > 0.99
+
+    @pytest.mark.parametrize("n", ["12", str(2**1100)], ids=["12", "2**1100"])
+    def test_bad_grid_size_exits_1(self, tmp_path, capsys, n):
+        rc = main(["inspect", "--beam", "--grid", n, "--out", str(tmp_path / "beam.pgm")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: grid size must be")
+        assert "Traceback" not in err
+        assert not (tmp_path / "beam.pgm").exists()
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -15,6 +15,7 @@ from vortexao import (
     make_vortex_beam,
     normalize_image,
 )
+from vortexao.field import MAX_GRID_N
 
 
 class TestGridSpec:
@@ -26,6 +27,20 @@ class TestGridSpec:
     def test_rejects_non_power_of_two(self, n):
         with pytest.raises(ConfigError):
             GridSpec(n, 1e-4, 633e-9)
+
+    def test_largest_size(self):
+        assert GridSpec(MAX_GRID_N, 1e-6, 633e-9).n == 2**14
+        with pytest.raises(ConfigError, match="from 8 to 16384"):
+            GridSpec(2 * MAX_GRID_N, 1e-6, 633e-9)
+
+    # each n is rejected before it divides the side: 2**1100 overflows a float
+    @pytest.mark.parametrize("n", [0, -8, 12, 2**15, 2**80, 2**1100])
+    def test_from_side_checks_size_first(self, n):
+        with pytest.raises(ConfigError, match="grid size"):
+            GridSpec.from_side(n, 0.01, 633e-9)
+
+    def test_from_side(self):
+        assert GridSpec.from_side(64, 0.01, 633e-9) == GridSpec(64, 0.01 / 64, 633e-9)
 
     @pytest.mark.parametrize("dx,lam", [(-1e-4, 633e-9), (0, 633e-9), (1e-4, 0)])
     def test_rejects_bad_scalars(self, dx, lam):

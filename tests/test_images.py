@@ -100,6 +100,46 @@ class TestPgmParerrors:
         assert img.shape == (4, 4)
 
 
+HEADER_TOKENS = [b"P5", b"P2", b"P6", b"65535", b"255", b"0", b"-3", b"4", b"+4", b"1_0",
+                 b"nan", b"1e3", b"0x10", b"9" * 25, b"9" * 5000, b"\xff\xfe", b"#"]
+HEADER_GAPS = [b" ", b"\n", b"\t\r", b"#c\n", b"#", b""]
+
+
+@st.composite
+def corrupt_pgm(draw):
+    """A valid 16-bit PGM truncated, with one bit flipped, or with its header replaced."""
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    levels = np.array(draw(st.lists(st.integers(0, 65535), min_size=h * w, max_size=h * w)),
+                      dtype=np.uint16).reshape(h, w)
+    data = pgm_bytes(levels)
+    how = draw(st.sampled_from(["truncate", "flip", "header"]))
+    if how == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if how == "flip":
+        bit = draw(st.integers(0, 8 * len(data) - 1))
+        out = bytearray(data)
+        out[bit // 8] ^= 1 << (bit % 8)
+        return bytes(out)
+    token = st.one_of(st.sampled_from(HEADER_TOKENS), st.integers(-9, 99).map(b"%d".__mod__),
+                      st.binary(max_size=4))
+    parts = draw(st.lists(st.tuples(token, st.sampled_from(HEADER_GAPS)), max_size=6))
+    header = b"".join(t + gap for t, gap in parts)
+    return header + data[len(f"P5\n{w} {h}\n65535\n") :]
+
+
+class TestCorruptPgm:
+    @settings(max_examples=300, deadline=None)
+    @given(corrupt_pgm())
+    def test_parses_to_levels_or_raises_parse_error(self, data):
+        try:
+            levels = parse_pgm(data, "p.pgm")
+        except PgmParseError:
+            return
+        assert levels.dtype == np.uint16
+        assert levels.ndim == 2 and min(levels.shape) >= 1
+        assert 2 * levels.size < len(data)
+
+
 class TestLevels:
     def test_export_is_quantize_then_bytes(self, tmp_path, rng):
         img = rng.uniform(0, 1, (5, 7))

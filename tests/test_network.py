@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import struct
 import warnings
@@ -372,6 +373,146 @@ class TestArrayCore:
     def test_mode_selects_trained_arrays(self, grid16, mode, trains):
         net = DiffractiveNetwork(grid16, [DiffractiveLayer.identity(16)], 0.05, mode=mode)
         assert (net.trains_phase, net.trains_amplitude) == trains
+
+
+def stacked_pass(net, pairs):
+    """The core's pass on the stack of ``pairs``: ``(output, tape, gradients, losses)``."""
+    x = np.stack([img for img, _ in pairs])
+    y = np.stack([gt for _, gt in pairs])
+    out, tape = network._forward(net, network._encode(x, net.grid.dx))
+    return out, tape, backward(net, tape, out, y), loss_mse(out, y)
+
+
+class TestStackedCore:
+    """A pass on a ``(k, n, n)`` stack equals k single-plane passes bit for bit."""
+
+    # 8 planes of 64 x 64 and each plane of 256 x 256 are past the size where
+    # numpy reuses a temporary operand of a product, so a product written in
+    # the order that suits the stack, not the plane, changes bits
+    @pytest.mark.parametrize("n, k", [(64, 8), (256, 2)])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_stack_equals_single_planes(self, n, k, mode, rng):
+        grid = GridSpec(n, 0.01 / n, 633e-9)
+        net = small_net(grid, n_layers=3, mode=mode)
+        pairs = [random_pair(grid, rng) for _ in range(k)]
+        out, tape, grads, losses = stacked_pass(net, pairs)
+        assert out.shape == (k, n, n) and grads.params.shape == (3, 2, k, n, n)
+        for s, (img, gt) in enumerate(pairs):
+            field = encode_input(img, grid)
+            out1, tape1 = forward(net, field)
+            grads1 = backward(net, tape1, out1, gt)
+            assert out1.shape == (n, n) and grads1.params.shape == (3, 2, n, n)
+            np.testing.assert_array_equal(network._encode(img, grid.dx), field.values)
+            np.testing.assert_array_equal(out[s], out1)
+            np.testing.assert_array_equal(tape.out_field[s], tape1.out_field)
+            np.testing.assert_array_equal(tape.raw_intensity[s], tape1.raw_intensity)
+            np.testing.assert_array_equal(tape.mean_intensity[s], tape1.mean_intensity)
+            for v, v1 in zip(tape.post_layer, tape1.post_layer):
+                np.testing.assert_array_equal(v[s], v1)
+            np.testing.assert_array_equal(grads.params[:, :, s], grads1.params)
+            np.testing.assert_array_equal(grads.readout[:, s], grads1.readout)
+            assert losses[s] == loss_mse(out1, gt)
+
+    @pytest.mark.parametrize("n_layers", [1, 5])
+    def test_stacked_pass_hops_once_per_plane_set(self, grid16, rng, monkeypatch, n_layers):
+        calls = []
+        hop = network.hop
+
+        def counting_hop(u, h):
+            calls.append(u.shape)
+            return hop(u, h)
+
+        net = small_net(grid16, n_layers=n_layers)
+        pairs = [random_pair(grid16, rng) for _ in range(3)]
+        monkeypatch.setattr(network, "hop", counting_hop)
+        stacked_pass(net, pairs)
+        # L + 1 hops forward and L back, each on the whole stack
+        assert calls == [(3, 16, 16)] * (2 * n_layers + 1)
+
+    def test_zero_output_plane_rejected(self, grid16, rng):
+        net = small_net(grid16, n_layers=2)
+        u = np.stack([encode_input(random_pair(grid16, rng)[0], grid16).values] * 2)
+        u[1] = 0.0
+        with pytest.raises(DomainError, match="zero output"):
+            network._forward(net, u)
+
+
+def reference_train(net, pairs, epochs, batch, lr, shuffle_seed):
+    """``train`` as one public forward and backward per sample, summed in draw order."""
+    state = TrainState(net, lr=lr)
+    rng = np.random.Generator(np.random.PCG64(shuffle_seed))
+    losses = []
+    for _ in range(epochs):
+        order = rng.permutation(len(pairs))
+        total = 0.0
+        for start in range(0, len(order), batch):
+            idx = order[start : start + batch]
+            acc = None
+            for j in idx:
+                img, gt = pairs[j]
+                out, tape = forward(net, encode_input(img, net.grid))
+                total += loss_mse(out, gt)
+                grads = backward(net, tape, out, gt)
+                if acc is None:
+                    acc = grads
+                else:
+                    acc.params += grads.params
+                    acc.readout += grads.readout
+            acc.params *= 1.0 / len(idx)
+            acc.readout *= 1.0 / len(idx)
+            adam_step(state, acc)
+        losses.append(total / len(pairs))
+    return state, losses
+
+
+def training_digest(state, losses, path):
+    """sha256 over the trained layers, the readout, the losses and the checkpoint."""
+    digest = hashlib.sha256()
+    for layer in state.network.layers:
+        digest.update(layer.phase.tobytes())
+        digest.update(layer.log_amplitude.tobytes())
+    digest.update(state.network.readout.tobytes())
+    digest.update(np.array(losses).tobytes())
+    save_checkpoint(path, state)
+    digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+class TestTrainIdentity:
+    """``train``'s stacked passes give the bytes of one pass per sample.
+
+    13 pairs in batches of 5 leave a partial last batch; stacks of 8, 2 and 1
+    sample at 64, 128 and 256 leave partial stacks, and batches of 13 at 64
+    split into a full stack and a partial one.
+    """
+
+    @pytest.mark.parametrize("n, batch", [(64, 5), (64, 13), (128, 5), (256, 5)])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_train_equals_per_sample_reference(self, n, batch, mode, tmp_path):
+        grid = GridSpec(n, 0.01 / n, 633e-9)
+        rng = np.random.default_rng(n + batch)
+        pairs = [random_pair(grid, rng) for _ in range(13)]
+        runs = {}
+        for name, fn in (("train", train), ("reference", reference_train)):
+            state, losses = fn(small_net(grid, n_layers=3, mode=mode), pairs, 2, batch, 0.01, 4)
+            assert all(type(loss) is float for loss in losses)
+            runs[name] = training_digest(state, losses, tmp_path / f"{name}.ckpt")
+        assert runs["train"] == runs["reference"]
+
+    @pytest.mark.parametrize("n, stacks", [(16, [3]), (64, [3]), (128, [2, 1]), (256, [1, 1, 1])])
+    def test_stack_size_follows_the_grid(self, n, stacks, rng, monkeypatch):
+        grid = GridSpec(n, 0.01 / n, 633e-9)
+        seen = []
+        core = network._forward
+
+        def recording_forward(net, u):
+            seen.append(len(u))
+            return core(net, u)
+
+        monkeypatch.setattr(network, "_forward", recording_forward)
+        train(small_net(grid, n_layers=1), [random_pair(grid, rng) for _ in range(3)], 1, 3)
+        assert seen == stacks
+        assert network.CHUNK_PIXELS == 2**15
 
 
 class TestAdamStep:

@@ -169,6 +169,16 @@ class TestHop:
         for h in (k.h, k.h_adjoint):
             np.testing.assert_array_equal(hop(u, h), fft2_hop(u, h))
 
+    @pytest.mark.parametrize("n, k", [(64, 1), (64, 4), (64, 8), (64, 32), (256, 2)])
+    def test_stack_hops_plane_by_plane(self, n, k, rng):
+        grid = GridSpec(n, 0.01 / n, 633e-9)
+        h = make_kernel(grid, 0.37).h
+        u = np.stack([random_field(grid, rng).values for _ in range(k)])
+        out = hop(u, h)
+        assert out.shape == (k, n, n)
+        for plane, single in zip(out, u):
+            np.testing.assert_array_equal(plane, hop(single, h))
+
     def test_reads_inputs_and_returns_a_fresh_buffer(self, grid64, rng):
         # read-only inputs: a write into either would raise
         u = random_field(grid64, rng).values
