@@ -330,8 +330,9 @@ def _forward(net: DiffractiveNetwork, u: np.ndarray) -> tuple[np.ndarray, Forwar
         post.append(u)
     out_field = hop(u, h)
     raw = np.abs(out_field) ** 2
-    mean = raw.mean(axis=(-2, -1), keepdims=True)
-    if np.any(mean <= 0):
+    # each plane's mean as np.mean takes it, the sum over the count, without its overhead
+    mean = raw.sum(axis=(-2, -1), keepdims=True) / (raw.shape[-2] * raw.shape[-1])
+    if (mean <= 0).any():
         raise DomainError("forward pass produced an identically zero output")
     gain, offset = net.readout
     output = offset + gain * (raw / mean - 1.0)

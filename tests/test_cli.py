@@ -123,7 +123,11 @@ class TestGenDataset:
         assert not (tmp_path / "data").exists()
 
 
-    @pytest.mark.parametrize("value", ["0", "-4"])
+    # 2**80 is a grid no machine can hold, and 2**1100 overflows a float division
+    @pytest.mark.parametrize(
+        "value",
+        ["0", "-4", pytest.param(str(2**80), id="2**80"), pytest.param(str(2**1100), id="2**1100")],
+    )
     def test_config_file_bad_grid_size_exits_1(self, tmp_path, capsys, value):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"grid_n = {value}\n")
@@ -131,18 +135,6 @@ class TestGenDataset:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: grid size must be")
-        assert "Traceback" not in err
-        assert not (tmp_path / "data").exists()
-
-    # 2**1100 overflows a float division, 2**80 a grid no machine can hold
-    @pytest.mark.parametrize("exponent", [80, 1100], ids=["2**80", "2**1100"])
-    def test_config_file_huge_grid_size_exits_1(self, tmp_path, capsys, exponent):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"grid_n = {2**exponent}\n")
-        rc = main(["gen-dataset", "--out", str(tmp_path / "data"), "--config", str(cfg)])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("error: grid size must be a power of two from 8 to 16384")
         assert "Traceback" not in err
         assert not (tmp_path / "data").exists()
 

@@ -512,7 +512,6 @@ class TestTrainIdentity:
         monkeypatch.setattr(network, "_forward", recording_forward)
         train(small_net(grid, n_layers=1), [random_pair(grid, rng) for _ in range(3)], 1, 3)
         assert seen == stacks
-        assert network.CHUNK_PIXELS == 2**15
 
 
 class TestAdamStep:
