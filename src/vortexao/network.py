@@ -537,6 +537,9 @@ def train(
                     else:
                         acc.params += grads.params[:, :, s]
                         acc.readout += grads.readout[:, s]
+                # a stack's tape and gradients are k planes deep: freed here, not
+                # when the next stack's pass rebinds them, so two never coexist
+                del output, tape, grads
             scale = 1.0 / len(idx)
             acc.params *= scale
             acc.readout *= scale

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import math
 import struct
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -512,6 +513,27 @@ class TestTrainIdentity:
         monkeypatch.setattr(network, "_forward", recording_forward)
         train(small_net(grid, n_layers=1), [random_pair(grid, rng) for _ in range(3)], 1, 3)
         assert seen == stacks
+
+    def test_one_stack_in_memory_at_a_time(self, grid64, rng):
+        # a batch of two stacks of 8 peaks no higher than one stack plus the
+        # batch sum: the first stack's tape and gradients are freed first
+        pairs = [random_pair(grid64, rng) for _ in range(16)]
+        net = small_net(grid64, n_layers=5)
+        train(net, pairs[:1], 1, 1)  # FFT plans and the transmission cache
+        peaks = []
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            for count in (8, 16):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                train(net, pairs[:count], 1, count)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        batch_sum = net.layers[0].phase.nbytes * 2 * len(net.layers)
+        assert peaks[1] - peaks[0] < 2 * batch_sum
 
 
 class TestAdamStep:
