@@ -20,8 +20,11 @@ workload: every run (side,
 directory, seed, pair, position in the pair, round count, correctness and
 metrics), each side's median and quartiles per end-to-end metric, and per
 metric the pairs the change won, the ties, the change of the medians in
-percent, the parent's interquartile range and whether the two sides read
-equal values in every pair. "Better" follows ``BENCHMARK.json``. Other
+percent, the parent's interquartile range, whether the two sides read
+equal values in every pair, and ``past_bound``: whether the change's median
+is worse than the parent's by more than the metric's ``bound``, a fraction
+of the parent's median. "Better" and the bounds follow ``BENCHMARK.json``;
+the metrics past their bound are also printed on stderr. Other
 workloads and other top-level keys already in ``--out`` are kept, and pairs
 run on a workload already recorded for the same commits are added to its
 runs, so one file can collect several invocations.
@@ -80,8 +83,11 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per-side medians and quartiles, and the pairwise comparison."""
+def summarize(runs: list[dict], better: dict[str, str], bounds: dict | None = None) -> dict:
+    """Per-side medians and quartiles, and the pairwise comparison.
+
+    ``past_bound`` is None for a metric without a bound in ``bounds``.
+    """
     out = {}
     for side in SIDES:
         mine = [r for r in runs if r["side"] == side]
@@ -104,6 +110,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             elif (b > a) == (direction == "higher"):
                 won += 1
         parent, change = out["parent"][name], out["change"][name]
+        worse_by = (parent["median"] - change["median"]) * (1 if direction == "higher" else -1)
+        bound = (bounds or {}).get(name)
         pairwise[name] = {
             "change_better_pairs": won,
             "ties": ties,
@@ -112,6 +120,7 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                                   if parent["median"] else None),
             "parent_iqr": parent["q3"] - parent["q1"],
             "bit_identical_every_pair": ties == len(pairs),
+            "past_bound": None if bound is None else worse_by > bound * abs(parent["median"]),
         }
     out["pairwise"] = pairwise
     return out
@@ -145,6 +154,7 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     args = parse_args(argv, [w["name"] for w in bench["workloads"]])
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
 
@@ -188,9 +198,14 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {pair} seed {seed} {side}: rounds {r['rounds']}, "
                           f"correct {r['correct']}, failed {r['failed']}", file=sys.stderr)
             all_seeds = earlier["seeds"] + seeds
+            summary = summarize(runs, better, bounds)
             record["workloads"][workload] = {
-                "seeds": all_seeds, "pairs": len(all_seeds), "runs": runs,
-                **summarize(runs, better)}
+                "seeds": all_seeds, "pairs": len(all_seeds), "runs": runs, **summary}
+            for name, compared in summary["pairwise"].items():
+                if compared["past_bound"]:
+                    print(f"{workload}: {name} past its bound of {bounds[name]:.0%}: median "
+                          f"{summary['parent'][name]['median']:.6g} -> "
+                          f"{summary['change'][name]['median']:.6g}", file=sys.stderr)
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(record, fh, indent=1)
                 fh.write("\n")

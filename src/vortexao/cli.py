@@ -21,14 +21,14 @@ import sys
 import numpy as np
 
 from .dataset import (
+    OBSERVATIONS,
     DatasetConfig,
-    _kv_value,
-    _read_kv_file,
     desk_config,
     generate_dataset,
     load_manifest,
     load_split,
     paper_config,
+    read_config_file,
     synthesize_fields,
     training_pairs,
 )
@@ -37,6 +37,7 @@ from .field import GridSpec, intensity, make_vortex_beam, normalize_image
 from .images import atomic_write_bytes, export_pgm
 from .metrics import mode_purity, mode_range, oam_decompose, write_report
 from .network import (
+    MODES,
     DiffractiveNetwork,
     TrainState,
     load_checkpoint,
@@ -52,43 +53,33 @@ from .pipeline import (
 )
 from .turbulence import STANDARD_CN2_LEVELS, screen_variance
 
-DESK_GRID = 64
-DEFAULT_SIDE = 0.01
-DEFAULT_WAVELENGTH = 633e-9
-
 
 def _dataset_config(args) -> DatasetConfig:
-    file_values = _read_kv_file(args.config) if args.config else {}
-
-    def pick(flag_value, key, conv, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return _kv_value(file_values, key, conv, args.config)
-        return default
-
+    """The preset, with the config file's values over it and the flags over those."""
     base = paper_config() if args.paper_scale else desk_config()
-    grid_n = pick(args.grid, "grid_n", int, base.grid.n)
-    count = pick(args.count, "count_per_level", int, base.count_per_level)
-    default_train = base.train_per_level if count == base.count_per_level else (count * 5) // 6
-    train_count = pick(args.train_count, "train_per_level", int, default_train)
-    seed = pick(args.seed, "base_seed", int, base.base_seed)
-    side = pick(None, "grid_side", float, base.grid.side)
-    wavelength = pick(None, "wavelength", float, base.grid.wavelength)
-    grid = GridSpec.from_side(grid_n, side, wavelength)
-    level_indices = args.levels if args.levels is not None else list(range(len(base.levels)))
-    levels = tuple(base.levels[i] for i in level_indices)
+    g, count = base.grid, base.count_per_level
+    values = dict(grid_n=g.n, grid_side=g.side, wavelength=g.wavelength, count_per_level=count)
+    values.update(read_config_file(args.config) if args.config else {})
+    flags = dict(grid_n=args.grid, count_per_level=args.count, train_per_level=args.train_count)
+    flags.update(base_seed=args.seed, observation=args.observation)
+    values.update((key, value) for key, value in flags.items() if value is not None)
+    indices = range(len(base.levels)) if args.levels is None else args.levels
+    return _replace(base, tuple(base.levels[i] for i in indices), **values)
+
+
+def _replace(
+    base, levels, grid_n, grid_side, wavelength, count_per_level, train_per_level=None, **fields
+) -> DatasetConfig:
+    """``base`` with ``levels`` and these keys; without a train count, 5/6 of each level trains."""
+    if train_per_level is None:
+        train_per_level = count_per_level * 5 // 6
     return dataclasses.replace(
         base,
-        grid=grid,
+        grid=GridSpec.from_side(grid_n, grid_side, wavelength),
         levels=levels,
-        count_per_level=count,
-        train_per_level=train_count,
-        ell=pick(None, "ell", int, base.ell),
-        waist=pick(None, "waist", float, base.waist),
-        z_obs=pick(None, "z_obs", float, base.z_obs),
-        base_seed=seed,
-        observation=args.observation or file_values.get("observation", base.observation),
+        count_per_level=count_per_level,
+        train_per_level=train_per_level,
+        **fields,
     )
 
 
@@ -203,7 +194,8 @@ def _dump_panels(out_dir, predictor, samples, manifest) -> None:
 
 
 def cmd_inspect(args) -> int:
-    grid = GridSpec.from_side(args.grid, DEFAULT_SIDE, DEFAULT_WAVELENGTH)
+    desk = desk_config().grid
+    grid = GridSpec.from_side(args.grid, desk.side, desk.wavelength)
     beam = make_vortex_beam(grid, args.ell, args.waist)
     export_pgm(normalize_image(intensity(beam)), args.out)
     print(f"wrote beam intensity (ell={args.ell}) to {args.out}")
@@ -249,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--count", type=_positive_int, help="samples per level")
     g.add_argument("--train-count", type=_positive_int, help="training samples per level")
     g.add_argument("--grid", type=_positive_int, help="grid samples per side")
-    g.add_argument("--observation", choices=("fourier", "free"), help="recorded intensity plane")
+    g.add_argument("--observation", choices=OBSERVATIONS, help="recorded intensity plane")
     scale = g.add_mutually_exclusive_group()
     scale.add_argument("--desk", action="store_true", help="desk-scale defaults (64, 600/level)")
     scale.add_argument(
@@ -263,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--epochs", type=_positive_int, default=50)
     t.add_argument("--lr", type=float, default=0.01)
     t.add_argument("--batch", type=_positive_int, default=32)
-    t.add_argument("--mode", choices=("phase", "amplitude", "hybrid"), default="hybrid")
+    t.add_argument("--mode", choices=MODES, default="hybrid")
     t.add_argument("--layers", type=_positive_int, default=5)
     t.add_argument("--spacing", type=float, default=None, help="layer separation in meters")
     t.add_argument(
@@ -289,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     i = sub.add_parser("inspect", help="dump a vortex beam's intensity")
     i.add_argument("--beam", action="store_true", required=True)
     i.add_argument("--out", required=True, help="output PGM path")
-    i.add_argument("--grid", type=_positive_int, default=DESK_GRID)
+    i.add_argument("--grid", type=_positive_int, default=desk_config().grid.n)
     i.add_argument("--ell", type=int, default=-3)
     i.add_argument("--waist", type=float, default=3.5e-3)
     i.add_argument("--spectrum-csv", help="also write the beam OAM spectrum CSV")

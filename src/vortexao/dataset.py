@@ -36,9 +36,10 @@ import functools
 import hashlib
 import math
 import os
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -170,29 +171,22 @@ def desk_config(base_seed: int = 7, observation: str = "fourier") -> DatasetConf
     the strongest level learnable by the reference network size while the
     four levels stay strictly ordered in distortion strength.
     """
-    grid = GridSpec(64, 0.01 / 64, 633e-9)
-    levels = tuple(standard_levels(eta=DESK_ETA, epsilon=DESK_EPSILON))
-    return DatasetConfig(
-        grid=grid,
-        levels=levels,
-        count_per_level=600,
-        train_per_level=500,
-        waist=DESK_WAIST,
-        base_seed=base_seed,
-        observation=observation,
-    )
+    return _protocol(64, 600, DESK_WAIST, base_seed, observation)
 
 
 def paper_config(base_seed: int = 7, observation: str = "fourier") -> DatasetConfig:
     """The full-scale protocol: 256 x 256 grids, 12000 samples per level."""
-    grid = GridSpec(256, 0.01 / 256, 633e-9)
-    levels = tuple(standard_levels(eta=DESK_ETA, epsilon=DESK_EPSILON))
+    return _protocol(256, 12000, 3.5e-3, base_seed, observation)
+
+
+def _protocol(n: int, count: int, waist: float, base_seed: int, observation: str):
+    """The four standard levels on an ``n`` x ``n`` grid across 1 cm; 5/6 of each level trains."""
     return DatasetConfig(
-        grid=grid,
-        levels=levels,
-        count_per_level=12000,
-        train_per_level=10000,
-        waist=3.5e-3,
+        grid=GridSpec(n, 0.01 / n, 633e-9),
+        levels=tuple(standard_levels(eta=DESK_ETA, epsilon=DESK_EPSILON)),
+        count_per_level=count,
+        train_per_level=count * 5 // 6,
+        waist=waist,
         base_seed=base_seed,
         observation=observation,
     )
@@ -360,41 +354,52 @@ def generate_dataset(config: DatasetConfig, out_dir, workers: int | None = None)
     return manifest
 
 
+class _Key(NamedTuple):
+    """A top-level manifest key: its name, its type and its value in a config."""
+
+    name: str
+    conv: Callable[[str], object]
+    get: Callable[[DatasetConfig], object]
+    in_config_file: bool = True
+    default: str | None = None  # the value of a manifest without the key
+
+
+# The manifest's top-level keys, in file order. A gen-dataset config file sets
+# the grid by its side, not its spacing, and leaves the levels to --levels.
+_MANIFEST_KEYS = (
+    _Key("base_seed", int, lambda c: c.base_seed),
+    _Key("grid_n", int, lambda c: c.grid.n),
+    _Key("grid_dx", float, lambda c: c.grid.dx, in_config_file=False),
+    _Key("wavelength", float, lambda c: c.grid.wavelength),
+    _Key("ell", int, lambda c: c.ell),
+    _Key("waist", float, lambda c: c.waist),
+    _Key("z_obs", float, lambda c: c.z_obs),
+    # manifests written before the observation modes recorded the fourier plane
+    _Key("observation", str, lambda c: c.observation, default=OBSERVATIONS[0]),
+    _Key("levels", int, lambda c: len(c.levels), in_config_file=False),
+    _Key("count_per_level", int, lambda c: c.count_per_level),
+    _Key("train_per_level", int, lambda c: c.train_per_level),
+)
+# level i's keys, "level{i}.{key}": its turbulence parameters, then its encoding range
+_LEVEL_KEYS = tuple(f.name for f in fields(TurbulenceParams)) + ("lo", "hi")
+_CONFIG_FILE_KEYS = {k.name: k.conv for k in _MANIFEST_KEYS if k.in_config_file}
+_CONFIG_FILE_KEYS["grid_side"] = float
+
+
 def _render_manifest(manifest: Manifest) -> str:
     c = manifest.config
-    lines = [
-        "format_version = 1",
-        f"base_seed = {c.base_seed}",
-        f"grid_n = {c.grid.n}",
-        f"grid_dx = {c.grid.dx!r}",
-        f"wavelength = {c.grid.wavelength!r}",
-        f"ell = {c.ell}",
-        f"waist = {c.waist!r}",
-        f"z_obs = {c.z_obs!r}",
-        f"observation = {c.observation}",
-        f"levels = {len(c.levels)}",
-        f"count_per_level = {c.count_per_level}",
-        f"train_per_level = {c.train_per_level}",
-    ]
-    for i, (params, (lo, hi)) in enumerate(zip(c.levels, manifest.encodings)):
-        lines.append(f"level{i}.cn2 = {params.cn2!r}")
-        lines.append(f"level{i}.epsilon = {params.epsilon!r}")
-        lines.append(f"level{i}.chi_t = {params.chi_t!r}")
-        lines.append(f"level{i}.tau = {params.tau!r}")
-        lines.append(f"level{i}.eta = {params.eta!r}")
-        lines.append(f"level{i}.z = {params.z!r}")
-        lines.append(f"level{i}.k0 = {params.k0!r}")
-        lines.append(f"level{i}.lo = {lo!r}")
-        lines.append(f"level{i}.hi = {hi!r}")
-    for rel in sorted(manifest.hashes):
-        lines.append(f"hash/{rel} = {manifest.hashes[rel]}")
+    lines = ["format_version = 1"] + [f"{k.name} = {k.get(c)}" for k in _MANIFEST_KEYS]
+    for i, (params, encoding) in enumerate(zip(c.levels, manifest.encodings)):
+        values = (*astuple(params), *encoding)
+        lines += [f"level{i}.{key} = {value}" for key, value in zip(_LEVEL_KEYS, values)]
+    lines += [f"hash/{rel} = {manifest.hashes[rel]}" for rel in sorted(manifest.hashes)]
     return "\n".join(lines) + "\n"
 
 
 def _parse_kv(text: str, source) -> dict[str, str]:
     """Parse flat ``key = value`` lines; ``#`` starts a comment line.
 
-    ``source`` names the text's origin in errors, as ``source:line``.
+    ``source`` names the text's origin in errors, as ``source:line``; a key may appear once.
     """
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -403,8 +408,10 @@ def _parse_kv(text: str, source) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in entries:
+            raise ConfigError(f"{source}:{lineno}: repeated key {key!r}")
+        entries[key] = value
     return entries
 
 
@@ -421,14 +428,29 @@ def _read_kv_file(path) -> dict[str, str]:
     return _parse_kv(text, path)
 
 
-def _kv_value(entries: dict[str, str], key: str, conv, source):
-    """``conv(entries[key])``; a value ``conv`` rejects is a ConfigError naming source and key."""
+def _kv_value(entries: dict[str, str], key: str, conv, source, default: str | None = None):
+    """``conv`` of the key's value, else of ``default``; a missing or bad value is ConfigError."""
+    text = entries.get(key, default)
+    if text is None:
+        raise ConfigError(f"{source}: missing key {key!r}")
     try:
-        return conv(entries[key])
+        return conv(text)
     except ValueError:
-        raise ConfigError(
-            f"{source}: {key} = {entries[key]!r} is not a valid {conv.__name__}"
-        ) from None
+        raise ConfigError(f"{source}: {key} = {text!r} is not a valid {conv.__name__}") from None
+
+
+def read_config_file(path) -> dict[str, object]:
+    """The typed values a ``gen-dataset`` config file sets, by key.
+
+    The file takes the manifest's top-level keys except ``grid_dx`` and
+    ``levels``, plus ``grid_side``; an unknown key or bad value is a ConfigError.
+    """
+    entries = _read_kv_file(path)
+    for key in entries:
+        if key not in _CONFIG_FILE_KEYS:
+            expected = ", ".join(_CONFIG_FILE_KEYS)
+            raise ConfigError(f"{path}: unknown key {key!r}, expected one of {expected}")
+    return {key: _kv_value(entries, key, _CONFIG_FILE_KEYS[key], path) for key in entries}
 
 
 def load_manifest(root) -> Manifest:
@@ -437,47 +459,20 @@ def load_manifest(root) -> Manifest:
     if not os.path.exists(path):
         raise ConfigError(f"no manifest at {path}")
     entries = _read_kv_file(path)
-
-    def value(key: str, conv=float):
-        return _kv_value(entries, key, conv, path)
-
-    try:
-        grid = GridSpec(value("grid_n", int), value("grid_dx"), value("wavelength"))
-        n_levels = value("levels", int)
-        levels = []
-        encodings = []
-        for i in range(n_levels):
-            levels.append(
-                TurbulenceParams(
-                    cn2=value(f"level{i}.cn2"),
-                    epsilon=value(f"level{i}.epsilon"),
-                    chi_t=value(f"level{i}.chi_t"),
-                    tau=value(f"level{i}.tau"),
-                    eta=value(f"level{i}.eta"),
-                    z=value(f"level{i}.z"),
-                    k0=value(f"level{i}.k0"),
-                )
-            )
-            encodings.append((value(f"level{i}.lo"), value(f"level{i}.hi")))
-        config = DatasetConfig(
-            grid=grid,
-            levels=tuple(levels),
-            count_per_level=value("count_per_level", int),
-            train_per_level=value("train_per_level", int),
-            ell=value("ell", int),
-            waist=value("waist"),
-            z_obs=value("z_obs"),
-            base_seed=value("base_seed", int),
-            observation=entries.get("observation", "fourier"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"manifest missing key {exc}") from exc
-    hashes = {
-        key[len("hash/") :]: value
-        for key, value in entries.items()
-        if key.startswith("hash/")
-    }
+    values = {k.name: _kv_value(entries, k.name, k.conv, path, k.default) for k in _MANIFEST_KEYS}
+    config, encodings = _manifest_config(entries, path, **values)
+    hashes = {k[len("hash/") :]: v for k, v in entries.items() if k.startswith("hash/")}
     return Manifest(config, encodings, hashes)
+
+
+def _manifest_config(entries, path, grid_n, grid_dx, wavelength, levels, **rest):
+    """The config and encoding ranges a manifest records, given its top-level values."""
+    params, encodings = [], []
+    for i in range(levels):
+        *values, lo, hi = (_kv_value(entries, f"level{i}.{k}", float, path) for k in _LEVEL_KEYS)
+        params.append(TurbulenceParams(*values))
+        encodings.append((lo, hi))
+    return DatasetConfig(GridSpec(grid_n, grid_dx, wavelength), tuple(params), **rest), encodings
 
 
 def _read_verified(manifest: Manifest, root: str, rel: str) -> np.ndarray:

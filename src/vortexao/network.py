@@ -577,43 +577,38 @@ _MAGIC = b"VAOCKPT1"
 _MODE_CODES = {"phase": 0, "amplitude": 1, "hybrid": 2}
 _MODE_NAMES = {code: name for name, code in _MODE_CODES.items()}
 _CKPT_VERSION = 2
-# after the step count: gain, offset, then their Adam m and v moments
+# version, grid n, dx, wavelength, spacing, layer count, mode code
+_HEADER = struct.Struct("<IIdddIB")
+# step count, learning rate, Adam beta1 and beta2, epsilon
+_OPTIMIZER = struct.Struct("<Qdddd")
+# after the optimizer: readout gain, offset, then their Adam m and v moments
 _READOUT = struct.Struct("<6d")
 
 
 def save_checkpoint(path, state: TrainState) -> None:
     """Serialize network geometry, parameters and optimizer state.
 
-    Little-endian binary: magic, version, grid n, dx, wavelength, spacing,
-    layer count, mode, then per layer the phase and log-amplitude arrays as
-    float64, then ``state.moments`` in C order and the step count, then the
-    readout gain and offset and their Adam moments. Round-trips bit exactly.
+    Little-endian binary: magic, the ``_HEADER`` fields, the ``(L, 2, n, n)``
+    per-layer phase and log-amplitude arrays as float64, ``state.moments`` in
+    C order, the ``_OPTIMIZER`` fields, then the readout gain and offset and
+    their Adam moments. Round-trips bit exactly.
     """
     from .images import atomic_write_bytes
 
     net = state.network
     g = net.grid
+    header = _HEADER.pack(
+        _CKPT_VERSION, g.n, g.dx, g.wavelength, net.spacing, len(net.layers), _MODE_CODES[net.mode]
+    )
+    params = np.array([(layer.phase, layer.log_amplitude) for layer in net.layers], dtype="<f8")
     parts = [
         _MAGIC,
-        struct.pack(
-            "<IIdddIB",
-            _CKPT_VERSION,
-            g.n,
-            g.dx,
-            g.wavelength,
-            net.spacing,
-            len(net.layers),
-            _MODE_CODES[net.mode],
-        ),
+        header,
+        params.tobytes(),
+        state.moments.astype("<f8").tobytes(),
+        _OPTIMIZER.pack(state.step, state.lr, state.beta1, state.beta2, state.eps_hat),
+        _READOUT.pack(*net.readout, *state.m_readout, *state.v_readout),
     ]
-    for layer in net.layers:
-        parts.append(layer.phase.astype("<f8").tobytes())
-        parts.append(layer.log_amplitude.astype("<f8").tobytes())
-    parts.append(state.moments.astype("<f8").tobytes())
-    parts.append(
-        struct.pack("<Qdddd", state.step, state.lr, state.beta1, state.beta2, state.eps_hat)
-    )
-    parts.append(_READOUT.pack(*net.readout, *state.m_readout, *state.v_readout))
     atomic_write_bytes(path, b"".join(parts))
 
 
@@ -623,9 +618,8 @@ def load_checkpoint(path) -> TrainState:
         data = fh.read()
     if data[:8] != _MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint")
-    header = struct.Struct("<IIdddIB")
     try:
-        version, n, dx, wavelength, spacing, n_layers, mode_code = header.unpack_from(data, 8)
+        version, n, dx, wavelength, spacing, n_layers, mode_code = _HEADER.unpack_from(data, 8)
     except struct.error as exc:
         raise CheckpointError(f"{path}: truncated header") from exc
     if version != _CKPT_VERSION:
@@ -633,9 +627,9 @@ def load_checkpoint(path) -> TrainState:
     if mode_code not in _MODE_NAMES:
         raise CheckpointError(f"{path}: unknown layer mode code {mode_code}")
     mode = _MODE_NAMES[mode_code]
-    pos = 8 + header.size
+    pos = 8 + _HEADER.size
     count = 6 * n_layers * n * n  # the layer arrays, then the moments
-    expected = pos + 8 * count + 8 + 32 + _READOUT.size
+    expected = pos + 8 * count + _OPTIMIZER.size + _READOUT.size
     if len(data) != expected:
         raise CheckpointError(f"{path}: size {len(data)} != expected {expected}")
     arrays = np.frombuffer(data, "<f8", count, pos).reshape(3 * n_layers, 2, n, n)
@@ -650,9 +644,8 @@ def load_checkpoint(path) -> TrainState:
         net = DiffractiveNetwork(GridSpec(n, dx, wavelength), layers, spacing, mode)
     except (ConfigError, DomainError) as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
-    step, lr, beta1, beta2, eps_hat = struct.unpack_from("<Qdddd", data, pos)
-    pos += struct.calcsize("<Qdddd")
-    readout = np.array(_READOUT.unpack_from(data, pos)).reshape(3, 2)
+    step, lr, beta1, beta2, eps_hat = _OPTIMIZER.unpack_from(data, pos)
+    readout = np.array(_READOUT.unpack_from(data, pos + _OPTIMIZER.size)).reshape(3, 2)
     if not np.all(np.isfinite(readout)):
         raise CheckpointError(f"{path}: non-finite readout value")
     net.readout = readout[0].copy()

@@ -80,6 +80,36 @@ def test_bit_identical_only_when_every_pair_ties(summarize):
     assert pairwise["rate"]["ties"] == 2 and pairwise["rate"]["change_better_pairs"] == 1
 
 
+@pytest.mark.parametrize(
+    "better, change, past",
+    [
+        ("higher", [74.0, 74.0, 74.0], True),  # 26 % lower
+        ("higher", [80.0, 70.0, 76.0], False),  # the median, 76, is 24 % lower
+        ("higher", [75.0, 75.0, 75.0], False),  # exactly at the bound is not past it
+        ("higher", [300.0, 300.0, 300.0], False),
+        ("lower", [126.0, 126.0, 126.0], True),
+        ("lower", [124.0, 130.0, 110.0], False),
+        ("lower", [10.0, 10.0, 10.0], False),
+    ],
+)
+def test_past_bound_compares_the_medians_against_the_bound(summarize, better, change, past):
+    runs = runs_of({"m": [100.0, 90.0, 110.0]}, {"m": change})
+    pairwise = summarize(runs, {"m": better}, {"m": 0.25})["pairwise"]["m"]
+    assert pairwise["past_bound"] is past
+
+
+def test_past_bound_of_a_zero_parent_median(summarize):
+    runs = runs_of({"a": [0.0, 0.0, 0.0], "b": [0.0, 0.0, 0.0]}, {"a": [1.0] * 3, "b": [0.0] * 3})
+    pairwise = summarize(runs, {"a": "lower", "b": "lower"}, {"a": 0.05, "b": 0.05})["pairwise"]
+    assert pairwise["a"]["past_bound"] is True
+    assert pairwise["b"]["past_bound"] is False
+
+
+def test_past_bound_is_none_without_a_bound(summarize):
+    runs = runs_of({"m": [1.0, 2.0]}, {"m": [0.0, 0.0]})
+    assert summarize(runs, {"m": "higher"})["pairwise"]["m"]["past_bound"] is None
+
+
 REQUIRED = ["--parent", "p", "--change", "c", "--pairs", "2", "--first-seed", "7",
             "--out", "o.json"]
 NAMES = ["desk-train", "paper-predict", "desk-sweep"]
@@ -135,3 +165,34 @@ def test_one_call_records_every_workload(bench_pairs, monkeypatch, tmp_path):
             (7, "parent"), (7, "change"), (8, "change"), (8, "parent")]
         assert workload["pairwise"]["train_loss"]["bit_identical_every_pair"] is True
     assert {c[3] for c in calls} == {bench["run_seconds"]}
+
+
+def test_metrics_past_their_bound_are_printed(bench_pairs, monkeypatch, tmp_path, capsys):
+    """Each metric past its bound in BENCHMARK.json is named on stderr and recorded."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    specs = {m["name"]: m for m in bench["end_to_end"]}
+
+    def fake_run(checkout, workload, seed, seconds):
+        # the change reads every metric worse than the parent by twice its bound
+        metrics = {}
+        for name, m in specs.items():
+            worse = 1 - 2 * m["bound"] if m["better"] == "higher" else 1 + 2 * m["bound"]
+            metrics[name] = 100.0 * (worse if Path(checkout).name == "change" else 1.0)
+        if workload != "desk-sweep":
+            metrics = {name: 100.0 for name in specs}
+        return {"rounds": 3, "correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: args[-1])
+    monkeypatch.setattr(bench_pairs, "unpack", lambda commit, dest: Path(dest).mkdir(parents=True))
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    argv = REQUIRED[:-1] + [str(out), "--workdir", str(tmp_path / "work")]
+    assert bench_pairs.main(argv) == 0
+    flagged = [line for line in capsys.readouterr().err.splitlines() if "past its bound" in line]
+    assert [line.split(":")[:2] for line in flagged] == [
+        ["desk-sweep", f" {name} past its bound of {specs[name]['bound']:.0%}"] for name in specs
+    ]
+    record = json.loads(out.read_text())["workloads"]
+    for workload, summary in record.items():
+        expected = workload == "desk-sweep"
+        assert [p["past_bound"] for p in summary["pairwise"].values()] == [expected] * len(specs)

@@ -1,10 +1,13 @@
+import argparse
 import os
 
 import numpy as np
 import pytest
 
-from vortexao.cli import _epoch_from_name, main
+from vortexao.cli import _dataset_config, _epoch_from_name, build_parser, main
+from vortexao.dataset import OBSERVATIONS, desk_config, read_config_file
 from vortexao.images import import_pgm
+from vortexao.network import MODES
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +140,75 @@ class TestGenDataset:
         assert err.startswith("error: grid size must be")
         assert "Traceback" not in err
         assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("gridn = 16", "gridn"),
+            ("waist_m = 0.5", "waist_m"),
+            # manifest keys a config file does not take: it sets grid_side, and --levels
+            ("grid_dx = 0.0001", "grid_dx"),
+            ("levels = 2", "levels"),
+        ],
+    )
+    def test_config_file_unknown_key_exits_1(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"count_per_level = 4\ntrain_per_level = 2\n{line}\n")
+        out = tmp_path / "data"
+        rc = main(["gen-dataset", "--out", str(out), "--config", str(cfg), "--grid", "16"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {cfg}: unknown key '{key}', expected one of base_seed,")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_file_repeated_key_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("base_seed = 9\ncount_per_level = 4\ntrain_per_level = 2\nbase_seed = 11\n")
+        out = tmp_path / "data"
+        rc = main(["gen-dataset", "--out", str(out), "--config", str(cfg), "--grid", "16"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {cfg}:4: repeated key 'base_seed'\n"
+        assert not out.exists()
+
+    def test_config_file_value_checked_under_its_flag(self, tmp_path, capsys):
+        # the file is read whole: --grid overrides grid_n, but a bad grid_n is still an error
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid_n = abc\n")
+        out = tmp_path / "data"
+        rc = main(["gen-dataset", "--out", str(out), "--config", str(cfg), "--grid", "16"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {cfg}: grid_n = 'abc' is not a valid int\n"
+        assert not out.exists()
+
+    def test_config_file_takes_ten_keys(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "grid_n = 16\ngrid_side = 0.02\nwavelength = 5.32e-07\ncount_per_level = 6\n"
+            "train_per_level = 4\nbase_seed = 9\nell = 2\nwaist = 0.002\nz_obs = 0.3\n"
+            "observation = free\n"
+        )
+        values = read_config_file(cfg)
+        assert values == {
+            "grid_n": 16,
+            "grid_side": 0.02,
+            "wavelength": 5.32e-07,
+            "count_per_level": 6,
+            "train_per_level": 4,
+            "base_seed": 9,
+            "ell": 2,
+            "waist": 0.002,
+            "z_obs": 0.3,
+            "observation": "free",
+        }
+        types = [int, float, float, int, int, int, int, float, float, str]
+        assert [type(v) for v in values.values()] == types
+        args = build_parser().parse_args(["gen-dataset", "--out", "x", "--config", str(cfg)])
+        config = _dataset_config(args)
+        assert (config.grid.n, config.grid.side, config.grid.wavelength) == (16, 0.02, 5.32e-07)
+        assert (config.count_per_level, config.train_per_level, config.base_seed) == (6, 4, 9)
+        beam = (config.ell, config.waist, config.z_obs, config.observation)
+        assert beam == (2, 0.002, 0.3, "free")
 
 
 @pytest.mark.parametrize(
@@ -357,3 +429,21 @@ class TestInspect:
         with pytest.raises(SystemExit) as exc:
             main(["inspect", "--out", "x.pgm"])
         assert exc.value.code == 2
+
+    def test_defaults_to_the_desk_grid(self, tmp_path):
+        desk = desk_config().grid
+        assert option("inspect", "--grid").default == desk.n
+        out = tmp_path / "beam.pgm"
+        assert main(["inspect", "--beam", "--out", str(out)]) == 0
+        assert import_pgm(out).shape == (desk.n, desk.n)
+
+
+def option(command: str, flag: str) -> argparse.Action:
+    """The parser's action for ``flag`` of ``command``."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions if flag in a.option_strings)
+
+
+def test_choices_come_from_the_package():
+    assert option("train", "--mode").choices is MODES
+    assert option("gen-dataset", "--observation").choices is OBSERVATIONS

@@ -460,3 +460,111 @@ class TestBadValues:
         with pytest.raises(ConfigError, match=key) as exc:
             load_manifest(tmp_path)
         assert str(tmp_path / "manifest.txt") in str(exc.value)
+
+
+CUSTOM_CONFIG = DatasetConfig(
+    grid=GridSpec(64, 0.01 / 64, 633e-9),
+    levels=tuple(
+        TurbulenceParams.from_cn2(c, eta=10.37e-3, epsilon=1e-10) for c in (1e-14, 1e-12)
+    ),
+    count_per_level=6,
+    train_per_level=4,
+    ell=12,
+    waist=1e-3,
+    z_obs=0.2,
+    base_seed=5,
+    observation="free",
+)
+TOP_KEYS = [
+    "format_version",
+    "base_seed",
+    "grid_n",
+    "grid_dx",
+    "wavelength",
+    "ell",
+    "waist",
+    "z_obs",
+    "observation",
+    "levels",
+    "count_per_level",
+    "train_per_level",
+]
+LEVEL_KEYS = ["cn2", "epsilon", "chi_t", "tau", "eta", "z", "k0", "lo", "hi"]
+HASHES = {"train/0_x.pgm": "cd" * 32, "test/5_y.pgm": "ab" * 32}
+# sha256 of each rendered manifest, as the format has written it since the
+# observation key was added
+RENDERED_SHA256 = {
+    "desk": "a6bf2f27d9085c4b42aef7696b956ed06a03fdc7d8db7d5184a47772ed1d3e6c",
+    "paper": "c8a6a40b93db0d5b32db2009cbc5d3d09f7b0a4fa8a0ee5c08d483ea0bf25936",
+    "custom": "d9178739288b55613d5c6148a5f995327145b84c7b0e2623c45c3afd59aed2c8",
+}
+
+
+class TestManifestSchema:
+    """One key table writes and reads the manifest, in the layout it always had."""
+
+    @pytest.fixture(params=["desk", "paper", "custom"])
+    def case(self, request):
+        config = {
+            "desk": lambda: desk_config(7),
+            "paper": lambda: dataset.paper_config(41, "free"),
+            "custom": lambda: CUSTOM_CONFIG,
+        }[request.param]()
+        encodings = [encoding_range(p, config.grid) for p in config.levels]
+        text = dataset._render_manifest(dataset.Manifest(config, encodings, HASHES))
+        return request.param, config, encodings, text
+
+    def test_key_sequence(self, case):
+        _, config, _, text = case
+        keys = [line.split(" = ", 1)[0] for line in text.splitlines()]
+        levels = [f"level{i}.{key}" for i in range(len(config.levels)) for key in LEVEL_KEYS]
+        assert keys == TOP_KEYS + levels + ["hash/test/5_y.pgm", "hash/train/0_x.pgm"]
+
+    def test_bytes_unchanged(self, case):
+        name, _, _, text = case
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == RENDERED_SHA256[name]
+
+    def test_roundtrip(self, case, tmp_path):
+        _, config, encodings, text = case
+        (tmp_path / "manifest.txt").write_text(text)
+        loaded = load_manifest(tmp_path)
+        assert loaded.config == config
+        assert loaded.encodings == encodings
+        assert loaded.hashes == HASHES
+
+    def test_level_keys_are_the_turbulence_fields(self):
+        names = [f.name for f in dataclasses.fields(TurbulenceParams)]
+        assert list(dataset._LEVEL_KEYS) == names + ["lo", "hi"] == LEVEL_KEYS
+
+    def test_manifest_without_observation_reads_fourier(self, case, tmp_path):
+        _, config, encodings, text = case
+        lines = [line for line in text.splitlines() if not line.startswith("observation =")]
+        (tmp_path / "manifest.txt").write_text("\n".join(lines) + "\n")
+        loaded = load_manifest(tmp_path)
+        assert loaded.config == dataclasses.replace(config, observation="fourier")
+        assert loaded.encodings == encodings
+
+    @pytest.mark.parametrize("key", ["waist", "level1.hi", "levels"])
+    def test_missing_key_is_config_error(self, key, tmp_path):
+        text = dataset._render_manifest(dataset.Manifest(CUSTOM_CONFIG, [(0, 1)] * 2, HASHES))
+        lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+        (tmp_path / "manifest.txt").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=f"missing key '{key}'"):
+            load_manifest(tmp_path)
+
+
+class TestRepeatedManifestKey:
+    """A key written twice is an error at its second line, not a silent last-wins."""
+
+    @pytest.mark.parametrize("line", [b"base_seed = 11", b"level0.tau = -1.0", b"base_seed=11"])
+    def test_repeated_key_is_config_error(self, tiny_dataset, tmp_path, line):
+        root, _ = tiny_dataset
+        lines = (root / "manifest.txt").read_bytes().splitlines()
+        key = line.split(b"=")[0].strip().decode()
+        at = next(i for i, old in enumerate(lines) if old.startswith(key.encode() + b" ="))
+        lines.insert(at + 1, line)
+        path = tmp_path / "manifest.txt"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ConfigError) as exc:
+            load_manifest(tmp_path)
+        assert str(exc.value) == f"{path}:{at + 2}: repeated key '{key}'"
