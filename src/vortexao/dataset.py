@@ -380,6 +380,7 @@ _MANIFEST_KEYS = (
     _Key("count_per_level", int, lambda c: c.count_per_level),
     _Key("train_per_level", int, lambda c: c.train_per_level),
 )
+_FORMAT_VERSION = 1  # the manifest's first line; the layout has not changed since
 # level i's keys, "level{i}.{key}": its turbulence parameters, then its encoding range
 _LEVEL_KEYS = tuple(f.name for f in fields(TurbulenceParams)) + ("lo", "hi")
 _CONFIG_FILE_KEYS = {k.name: k.conv for k in _MANIFEST_KEYS if k.in_config_file}
@@ -388,7 +389,8 @@ _CONFIG_FILE_KEYS["grid_side"] = float
 
 def _render_manifest(manifest: Manifest) -> str:
     c = manifest.config
-    lines = ["format_version = 1"] + [f"{k.name} = {k.get(c)}" for k in _MANIFEST_KEYS]
+    lines = [f"format_version = {_FORMAT_VERSION}"]
+    lines += [f"{k.name} = {k.get(c)}" for k in _MANIFEST_KEYS]
     for i, (params, encoding) in enumerate(zip(c.levels, manifest.encodings)):
         values = (*astuple(params), *encoding)
         lines += [f"level{i}.{key} = {value}" for key, value in zip(_LEVEL_KEYS, values)]
@@ -454,13 +456,23 @@ def read_config_file(path) -> dict[str, object]:
 
 
 def load_manifest(root) -> Manifest:
-    """Parse the manifest under a dataset root directory."""
+    """Parse the manifest under a dataset root directory; format version 1 only.
+
+    A key the writer would not write for its levels, ``hash/`` keys aside, is a ConfigError.
+    """
     path = os.path.join(os.fspath(root), MANIFEST_NAME)
     if not os.path.exists(path):
         raise ConfigError(f"no manifest at {path}")
     entries = _read_kv_file(path)
+    if (version := _kv_value(entries, "format_version", int, path)) != _FORMAT_VERSION:
+        raise ConfigError(f"{path}: format_version = {version}, expected {_FORMAT_VERSION}")
     values = {k.name: _kv_value(entries, k.name, k.conv, path, k.default) for k in _MANIFEST_KEYS}
     config, encodings = _manifest_config(entries, path, **values)
+    known = {"format_version", *values}
+    known.update(f"level{i}.{k}" for i in range(len(config.levels)) for k in _LEVEL_KEYS)
+    for key in entries:
+        if key not in known and not key.startswith("hash/"):
+            raise ConfigError(f"{path}: unknown key {key!r}")
     hashes = {k[len("hash/") :]: v for k, v in entries.items() if k.startswith("hash/")}
     return Manifest(config, encodings, hashes)
 

@@ -17,6 +17,8 @@ from .errors import ConfigError, DegenerateInputError, DomainError, GridMismatch
 
 # the largest grid side in samples: one complex128 plane of it takes 4 GiB
 MAX_GRID_N = 2**14
+# the smallest temporary numpy reuses as a product's output, see times_temporary
+_ELIDE_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -149,6 +151,20 @@ def apply_phase(field: ComplexField, screen: PhaseScreen) -> ComplexField:
     """Multiply a field by ``exp(i * phase)``; total power is unchanged."""
     _require_same_grid(field.grid, screen.grid)
     return ComplexField(field.grid, field.values * np.exp(1j * screen.phase))
+
+
+def times_temporary(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """``a * b`` rounded as numpy rounds it for one ``(n, n)`` plane of a temporary b.
+
+    numpy computes ``a * b`` as ``b * a`` when b is a temporary of at least
+    ``_ELIDE_BYTES`` that it can reuse as the output, and a complex product is
+    not symmetric in its last bit. Here the order follows the size of one
+    plane of b, so a stack, or a b that is not a temporary, rounds as each
+    plane's fresh product would.
+    """
+    if b.itemsize * b.shape[-2] * b.shape[-1] >= _ELIDE_BYTES:
+        return np.multiply(b, a, out=out)
+    return np.multiply(a, b, out=out)
 
 
 def intensity(field: ComplexField) -> np.ndarray:

@@ -51,7 +51,7 @@ from .errors import (
     StaleTapeError,
     TrainingDivergenceError,
 )
-from .field import ComplexField, GridSpec, PhaseScreen
+from .field import ComplexField, GridSpec, PhaseScreen, times_temporary
 from .propagation import PropagationKernel, hop, make_kernel
 
 MODES = ("phase", "amplitude", "hybrid")
@@ -66,12 +66,6 @@ READOUT_OFFSET = 0.5
 # 8 at 64 x 64, 2 at 128 x 128 and 1 from 256 x 256 up, which spreads numpy's
 # per-call cost over several planes without growing the tape at paper scale
 CHUNK_PIXELS = 2**15
-
-# numpy computes ``a * b`` as ``b * a`` when b is a temporary of at least
-# 256 KiB that it can reuse as the output, and a complex product is not
-# symmetric in its last bit; backward fixes the order by the size of one plane
-# so that a stack rounds as its planes would alone
-_ELIDE_BYTES = 256 * 1024
 
 
 def default_spacing(grid: GridSpec) -> float:
@@ -319,16 +313,21 @@ def forward(net: DiffractiveNetwork, input_field: ComplexField) -> tuple[np.ndar
     return _forward(net, input_field.values)
 
 
-def _forward(net: DiffractiveNetwork, u: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
-    """:func:`forward` on one input plane ``(n, n)`` or a stack ``(k, n, n)``."""
+def _forward(
+    net: DiffractiveNetwork, u: np.ndarray, record: bool = True
+) -> tuple[np.ndarray, ForwardTape | None]:
+    """:func:`forward` on one input plane ``(n, n)`` or a stack ``(k, n, n)``.
+
+    ``record=False`` builds no tape and runs every hop and product in place in ``u``.
+    """
     h = net.kernel.h
     transmissions = [layer.transmission() for layer in net.layers]
     post = []
     for t in transmissions:
-        u = hop(u, h)  # a fresh buffer, so the layer multiplies in place
+        u = hop(u, h) if record else hop(u, h, out=u)  # a fresh buffer on a tape
         u *= t
         post.append(u)
-    out_field = hop(u, h)
+    out_field = hop(u, h) if record else hop(u, h, out=u)
     raw = np.abs(out_field) ** 2
     # each plane's mean as np.mean takes it, the sum over the count, without its overhead
     mean = raw.sum(axis=(-2, -1), keepdims=True) / (raw.shape[-2] * raw.shape[-1])
@@ -336,7 +335,7 @@ def _forward(net: DiffractiveNetwork, u: np.ndarray) -> tuple[np.ndarray, Forwar
         raise DomainError("forward pass produced an identically zero output")
     gain, offset = net.readout
     output = offset + gain * (raw / mean - 1.0)
-    tape = ForwardTape(net.version, post, out_field, transmissions, raw, mean)
+    tape = ForwardTape(net.version, post, out_field, transmissions, raw, mean) if record else None
     return output, tape
 
 
@@ -389,20 +388,17 @@ def backward(
     h_adjoint = net.kernel.h_adjoint
     n_layers = len(tape.post_layer)
     params = np.zeros((n_layers, 2, *output.shape))
-    # both products take their operands in the order numpy gives one plane
-    swap = tape.out_field.itemsize * n_pix >= _ELIDE_BYTES
     for i in reversed(range(n_layers)):
         adj = hop(adj, h_adjoint)
         c = np.conj(tape.post_layer[i])
-        prod = np.multiply(c, adj, out=c) if swap else np.multiply(adj, c, out=c)
+        prod = times_temporary(adj, c, out=c)
         # written straight into the slices: a temporary and a copy slow train() at 256
         if net.trains_phase:
             np.multiply(prod.imag, 2.0, out=params[i, 0])
         if net.trains_amplitude:
             np.multiply(prod.real, 2.0, out=params[i, 1])
         if i > 0:
-            c = np.conj(tape.transmissions[i])
-            adj = np.multiply(c, adj, out=adj) if swap else np.multiply(adj, c, out=adj)
+            adj = times_temporary(adj, np.conj(tape.transmissions[i]), out=adj)
     return Gradients(params, readout=(d_gain[..., 0, 0], d_offset[..., 0, 0]))
 
 
@@ -554,9 +550,11 @@ def predict_image(net: DiffractiveNetwork, distorted_img: np.ndarray) -> np.ndar
     """Forward a distorted intensity image and clip the readout to [0, 1].
 
     [0, 1] is the range the screen encoding produces, so the result always
-    decodes to a phase inside the encoding range.
+    decodes to a phase inside the encoding range. The pass records no tape and
+    runs in place in the encoded input's buffer; the output equals
+    :func:`forward`'s bit for bit.
     """
-    output, _ = forward(net, encode_input(distorted_img, net.grid))
+    output, _ = _forward(net, encode_input(distorted_img, net.grid).values, record=False)
     return np.clip(output, 0.0, 1.0)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import Manifest, Sample, decode_screen, synthesize_fields
 from .errors import ConfigError
-from .field import ComplexField, PhaseScreen, apply_phase
+from .field import ComplexField, PhaseScreen, apply_phase, times_temporary
 from .metrics import ReportRow, mode_purity, mode_range, oam_decompose, psnr
 from .network import DiffractiveNetwork, load_checkpoint, predict_image
 
@@ -97,9 +97,11 @@ def _evaluate(runs, samples, manifest, ell_range):
     for sample in samples:
         screen, at_screen, receiver = synthesize_fields(config, sample.id)
         mp_dist = purity(receiver)
-        # perfect knowledge at the screen plane restores the beam exactly
-        bounds_screen.append(purity(apply_phase(at_screen, conjugate_screen(screen))))
-        bounds_receiver.append(purity(compensate(receiver, conjugate_screen(screen))))
+        # both bounds apply the conjugate screen's phasor, rounded as apply_phase
+        # rounds it; at the screen plane perfect knowledge restores the beam exactly
+        conj = np.exp(1j * -screen.phase)
+        for field, bounds in ((at_screen, bounds_screen), (receiver, bounds_receiver)):
+            bounds.append(purity(ComplexField(field.grid, times_temporary(field.values, conj))))
         for (epoch, predictor), run_rows in zip(runs, rows):
             pred_img = predictor(sample)
             mp_comp = purity(compensate_prediction(receiver, pred_img, sample.encoding))

@@ -60,18 +60,19 @@ def make_kernel(grid: GridSpec, distance: float) -> PropagationKernel:
     return PropagationKernel(grid, distance, np.exp(1j * phase))
 
 
-def hop(u: np.ndarray, h: np.ndarray) -> np.ndarray:
+def hop(u: np.ndarray, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """One hop on a plain array: IFFT( FFT(u) * h ) with orthonormal transforms.
 
     ``u`` is one plane ``(n, n)`` or a stack ``(k, n, n)`` of them; the
     transforms run over the last two axes, so every plane hops on its own.
     Each 2-D transform runs as two 1-D transforms in ``fft2``'s own axis
     order, last axis first, and every step after the first works in place on
-    the one buffer the hop returns. Each plane of the result equals
+    the one buffer the hop returns: a fresh array, or ``out``, which may be
+    ``u`` itself. Each plane of the result equals
     ``ifft2(fft2(u, norm="ortho") * h, norm="ortho")`` bit for bit, without
-    its intermediate arrays; ``u`` and ``h`` are only read.
+    its intermediate arrays; ``h``, and ``u`` unless it is ``out``, are only read.
     """
-    a = np.fft.fft(u, axis=-1, norm="ortho")
+    a = np.fft.fft(u, axis=-1, norm="ortho", out=out)
     np.fft.fft(a, axis=-2, norm="ortho", out=a)
     a *= h
     np.fft.ifft(a, axis=-1, norm="ortho", out=a)
