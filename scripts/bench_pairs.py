@@ -28,6 +28,13 @@ the metrics past their bound are also printed on stderr. Other
 workloads and other top-level keys already in ``--out`` are kept, and pairs
 run on a workload already recorded for the same commits are added to its
 runs, so one file can collect several invocations.
+
+    python3 scripts/bench_pairs.py --show BENCH_pairs.json
+
+prints a record's comparison as a Markdown table and runs nothing: one row
+per workload and end-to-end metric, with both medians, the change of the
+medians in percent, the pairs the change won, the parent's interquartile
+range and ``past_bound``.
 """
 
 from __future__ import annotations
@@ -126,20 +133,46 @@ def summarize(runs: list[dict], better: dict[str, str], bounds: dict | None = No
     return out
 
 
+def show(record: dict) -> str:
+    """The comparison of every workload and end-to-end metric in ``record``, as a table."""
+    lines = ["| workload | metric | parent median | change median | change | pairs better "
+             "| parent IQR | past bound |", "| --- " * 8 + "|"]
+    for workload, summary in record["workloads"].items():
+        for name, compared in summary["pairwise"].items():
+            pct = compared["median_change_pct"]
+            won = f"{compared['change_better_pairs']} of {compared['pairs']}"
+            if compared["ties"]:
+                won += f", {compared['ties']} tied"
+            lines.append(" | ".join([
+                f"| {workload}", name, f"{summary['parent'][name]['median']:.6g}",
+                f"{summary['change'][name]['median']:.6g}",
+                "n/a" if pct is None else f"{pct:+.1f} %", won,
+                f"{compared['parent_iqr']:.3g}", f"{compared['past_bound']} |"]))
+    return "\n".join(lines)
+
+
 def parse_args(argv, workloads: list[str]) -> argparse.Namespace:
     """The options; ``workloads`` are the names ``--workload`` may take, the default."""
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--parent", required=True, help="parent commit")
-    p.add_argument("--change", required=True, help="changed commit")
+    p.add_argument("--show", metavar="FILE",
+                   help="print the table of an existing record and run nothing; without it, "
+                        "--parent, --change, --pairs, --first-seed and --out are required")
+    p.add_argument("--parent", help="parent commit")
+    p.add_argument("--change", help="changed commit")
     p.add_argument("--workload", action="append", choices=workloads,
                    help="a workload to run; repeat for several (default: all, in order)")
-    p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--first-seed", type=int, required=True,
-                   help="pair i runs seed FIRST_SEED + i on both sides")
-    p.add_argument("--out", required=True, help="JSON file to create or extend")
+    p.add_argument("--pairs", type=int)
+    p.add_argument("--first-seed", type=int, help="pair i runs seed FIRST_SEED + i on both sides")
+    p.add_argument("--out", help="JSON file to create or extend")
     p.add_argument("--workdir", default=None,
                    help="where to unpack the two commits; a temporary directory by default")
     args = p.parse_args(argv)
+    if args.show is not None:
+        return args
+    missing = [opt for opt in ("--parent", "--change", "--pairs", "--first-seed", "--out")
+               if getattr(args, opt[2:].replace("-", "_")) is None]
+    if missing:
+        p.error(f"the following arguments are required: {', '.join(missing)}")
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
     if args.workload is None:
@@ -153,6 +186,10 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     args = parse_args(argv, [w["name"] for w in bench["workloads"]])
+    if args.show is not None:
+        with open(args.show, encoding="utf-8") as fh:
+            print(show(json.load(fh)))
+        return 0
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]

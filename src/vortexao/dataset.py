@@ -380,7 +380,7 @@ _MANIFEST_KEYS = (
     _Key("count_per_level", int, lambda c: c.count_per_level),
     _Key("train_per_level", int, lambda c: c.train_per_level),
 )
-_FORMAT_VERSION = 1  # the manifest's first line; the layout has not changed since
+_FORMAT_VERSION = 1  # the manifest's first line; every manifest so far was written as 1
 # level i's keys, "level{i}.{key}": its turbulence parameters, then its encoding range
 _LEVEL_KEYS = tuple(f.name for f in fields(TurbulenceParams)) + ("lo", "hi")
 _CONFIG_FILE_KEYS = {k.name: k.conv for k in _MANIFEST_KEYS if k.in_config_file}

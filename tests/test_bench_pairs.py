@@ -196,3 +196,46 @@ def test_metrics_past_their_bound_are_printed(bench_pairs, monkeypatch, tmp_path
     for workload, summary in record.items():
         expected = workload == "desk-sweep"
         assert [p["past_bound"] for p in summary["pairwise"].values()] == [expected] * len(specs)
+
+
+def test_show_prints_a_record_and_runs_nothing(bench_pairs, summarize, monkeypatch, tmp_path,
+                                               capsys):
+    """``--show`` turns an existing record into one table row per workload and metric."""
+    better = {"speed": "higher", "ms": "lower", "loss": "lower"}
+    bounds = {"speed": 0.25, "ms": 0.1}
+    parent = {"speed": [10.0, 11.0, 12.0, 13.0], "ms": [2.0, 2.0, 2.0, 2.0],
+              "loss": [0.5] * 4}
+    change = {"speed": [12.0, 11.0, 14.0, 15.0], "ms": [3.0, 2.0, 2.5, 2.5],
+              "loss": [0.5] * 4}
+    record = {"workloads": {
+        "w1": summarize(runs_of(parent, change), better, bounds),
+        "w2": summarize(runs_of({**parent, "speed": [0.0] * 4}, parent), better, bounds),
+    }}
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(record))
+
+    def no_run(*args):
+        raise AssertionError("--show ran something")
+
+    for name in ("git", "unpack", "run_once"):
+        monkeypatch.setattr(bench_pairs, name, no_run)
+    assert bench_pairs.main(["--show", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "| workload | metric | parent median | change median | change | pairs better "
+        "| parent IQR | past bound |",
+        "| --- | --- | --- | --- | --- | --- | --- | --- |",
+        "| w1 | speed | 11.5 | 13 | +13.0 % | 3 of 4, 1 tied | 1.5 | False |",
+        "| w1 | ms | 2 | 2.5 | +25.0 % | 0 of 4, 1 tied | 0 | True |",
+        "| w1 | loss | 0.5 | 0.5 | +0.0 % | 0 of 4, 4 tied | 0 | None |",
+        "| w2 | speed | 0 | 11.5 | n/a | 4 of 4 | 0 | False |",
+        "| w2 | ms | 2 | 2 | +0.0 % | 0 of 4, 4 tied | 0 | False |",
+        "| w2 | loss | 0.5 | 0.5 | +0.0 % | 0 of 4, 4 tied | 0 | None |",
+    ]
+
+
+def test_options_are_required_without_show(bench_pairs, capsys):
+    assert bench_pairs.parse_args(["--show", "r.json"], NAMES).show == "r.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.parse_args(REQUIRED[2:], NAMES)
+    assert exc.value.code == 2
+    assert "required: --parent" in capsys.readouterr().err

@@ -568,3 +568,58 @@ class TestRepeatedManifestKey:
         with pytest.raises(ConfigError) as exc:
             load_manifest(tmp_path)
         assert str(exc.value) == f"{path}:{at + 2}: repeated key '{key}'"
+
+
+class TestUnreadManifestKeys:
+    """``load_manifest`` rejects what it does not read, naming the file and the key."""
+
+    @staticmethod
+    def write(tmp_path, config, edit):
+        encodings = [encoding_range(p, config.grid) for p in config.levels]
+        text = dataset._render_manifest(dataset.Manifest(config, encodings, HASHES))
+        (tmp_path / "manifest.txt").write_text(edit(text))
+        return str(tmp_path / "manifest.txt")
+
+    @pytest.mark.parametrize("version", ["7", "0", "2"])
+    def test_other_format_version(self, tmp_path, version):
+        path = self.write(tmp_path, CUSTOM_CONFIG, lambda text: text.replace(
+            "format_version = 1\n", f"format_version = {version}\n"))
+        with pytest.raises(ConfigError) as exc:
+            load_manifest(tmp_path)
+        assert str(exc.value) == f"{path}: format_version = {version}, expected 1"
+
+    def test_missing_format_version(self, tmp_path):
+        self.write(tmp_path, CUSTOM_CONFIG, lambda text: text.replace("format_version = 1\n", ""))
+        with pytest.raises(ConfigError, match="missing key 'format_version'"):
+            load_manifest(tmp_path)
+
+    @pytest.mark.parametrize("key", [
+        "gridn",  # an unknown top-level key
+        "level2.cn2",  # a level past the manifest's two
+        "level0.cnn2",  # an unknown level key
+        "level.cn2",
+        "grid_side",  # a config file's key, not a manifest's
+    ])
+    def test_unknown_key(self, tmp_path, key):
+        path = self.write(tmp_path, CUSTOM_CONFIG, lambda text: text + f"{key} = 1\n")
+        with pytest.raises(ConfigError) as exc:
+            load_manifest(tmp_path)
+        assert str(exc.value) == f"{path}: unknown key '{key}'"
+
+    def test_desk_manifest_with_unread_lines(self, tmp_path):
+        # a 4-level desk manifest with a newer version and three keys nothing reads
+        def edit(text):
+            text = text.replace("format_version = 1\n", "format_version = 7\n")
+            return text + "gridn = 16\nlevel9.cn2 = 5\nlevel0.cnn2 = 1\n"
+
+        self.write(tmp_path, desk_config(7), edit)
+        with pytest.raises(ConfigError, match="format_version"):
+            load_manifest(tmp_path)
+        self.write(tmp_path, desk_config(7), lambda text: edit(text).replace(
+            "format_version = 7\n", "format_version = 1\n"))
+        with pytest.raises(ConfigError, match="unknown key 'gridn'"):
+            load_manifest(tmp_path)
+
+    def test_any_hash_key_is_read(self, tmp_path):
+        self.write(tmp_path, CUSTOM_CONFIG, lambda text: text + "hash/extra.pgm = 00\n")
+        assert load_manifest(tmp_path).hashes == {**HASHES, "extra.pgm": "00"}

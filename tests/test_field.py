@@ -15,7 +15,7 @@ from vortexao import (
     make_vortex_beam,
     normalize_image,
 )
-from vortexao.field import MAX_GRID_N
+from vortexao.field import MAX_GRID_N, times_temporary
 
 
 class TestGridSpec:
@@ -140,6 +140,33 @@ class TestApplyPhase:
         beam = make_vortex_beam(grid64, -3, 3.5e-3)
         with pytest.raises(GridMismatchError):
             apply_phase(beam, PhaseScreen(grid32, np.zeros((32, 32))))
+
+
+class TestTimesTemporary:
+    """``times_temporary(a, b)`` rounds each plane as ``a * <fresh b>`` does."""
+
+    @pytest.mark.parametrize("shape", [(32, 32), (64, 64), (128, 128), (256, 256), (8, 64, 64)])
+    def test_each_plane_as_a_fresh_product(self, shape, rng):
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        phase = rng.normal(0, 3.0, shape)
+        out = times_temporary(a, np.exp(1j * phase))
+        for plane, a1, p1 in zip(out.reshape(-1, *shape[-2:]), a.reshape(-1, *shape[-2:]),
+                                 phase.reshape(-1, *shape[-2:])):
+            np.testing.assert_array_equal(plane, a1 * np.exp(1j * p1))
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_the_order_matters_in_the_last_bit(self, n, rng):
+        # otherwise the first test could not tell the two orders apart
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        b = np.exp(1j * rng.normal(0, 3.0, (n, n)))
+        assert not np.array_equal(a * b, b * a)
+
+    def test_writes_into_out(self, rng):
+        a = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+        b = np.exp(1j * rng.normal(0, 3.0, (64, 64)))
+        expected = a * b
+        assert times_temporary(a, b, out=b) is b
+        np.testing.assert_array_equal(b, expected)
 
 
 class TestIntensity:

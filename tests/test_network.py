@@ -718,6 +718,60 @@ class TestPredictScreen:
         assert pred.phase.max() == 2.0
 
 
+class TestPredictImage:
+    """Prediction runs the core without a tape, in place in its encoded input."""
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_equals_clipped_forward(self, n, mode, rng):
+        grid = GridSpec(n, 0.01 / n, 633e-9)
+        net = small_net(grid, n_layers=3, mode=mode)
+        net.readout[:] = (1.0, 0.5)  # a readout that leaves [0, 1], so the clip acts
+        img, _ = random_pair(grid, rng)
+        before = img.copy()
+        expected = np.clip(forward(net, encode_input(img, grid))[0], 0.0, 1.0)
+        assert expected.min() == 0.0 and expected.max() == 1.0
+        np.testing.assert_array_equal(predict_image(net, img), expected)
+        np.testing.assert_array_equal(img, before)
+
+    @pytest.mark.parametrize("n_layers", [1, 5])
+    def test_records_no_tape_and_hops_in_place(self, grid16, rng, monkeypatch, n_layers):
+        in_place = []
+        hop = network.hop
+
+        def no_tape(*args):
+            raise AssertionError("predict_image built a ForwardTape")
+
+        def spying_hop(u, h, out=None):
+            in_place.append(out is u)
+            return hop(u, h, out=out)
+
+        net = small_net(grid16, n_layers=n_layers)
+        monkeypatch.setattr(network, "ForwardTape", no_tape)
+        monkeypatch.setattr(network, "hop", spying_hop)
+        predict_image(net, random_pair(grid16, rng)[0])
+        assert in_place == [True] * (n_layers + 1)
+
+    def test_peak_memory_is_a_few_planes(self, rng):
+        # a recorded pass keeps L + 1 complex planes; prediction works in one
+        grid = GridSpec(256, 0.01 / 256, 633e-9)
+        net = small_net(grid, n_layers=5)
+        img, _ = random_pair(grid, rng)
+        predict_image(net, img)  # FFT plans and the transmission cache
+        plane = 16 * 256 * 256
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            predict_image(net, img)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 3 * plane
+
+
 class TestCheckpoint:
     def test_bit_exact_roundtrip(self, grid16, rng, tmp_path):
         net = small_net(grid16)

@@ -7,6 +7,7 @@ from vortexao import (
     DatasetConfig,
     DiffractiveNetwork,
     GridSpec,
+    LevelSummary,
     PhaseScreen,
     TurbulenceParams,
     apply_phase,
@@ -30,7 +31,7 @@ from vortexao import (
     training_pairs,
     zero_predictor,
 )
-from vortexao.metrics import REPORT_COLUMNS
+from vortexao.metrics import REPORT_COLUMNS, ReportRow, mode_range, psnr
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +156,68 @@ class TestEvaluateLevel:
             means.append(summary.mean_mp_distorted)
         assert means == sorted(means, reverse=True)
         assert len(set(means)) == 4
+
+
+def reference_evaluate(predictor, samples, manifest, epoch=0):
+    """``evaluate_level`` sample by sample through the public compensation steps."""
+    config = manifest.config
+
+    def purity(field):
+        return mode_purity(oam_decompose(field, mode_range(config.ell)), config.ell)
+
+    rows, bounds_screen, bounds_receiver = [], [], []
+    for sample in samples:
+        screen, at_screen, receiver = synthesize_fields(config, sample.id)
+        bounds_screen.append(purity(apply_phase(at_screen, conjugate_screen(screen))))
+        bounds_receiver.append(purity(compensate(receiver, conjugate_screen(screen))))
+        pred = predictor(sample)
+        compensated = compensate_prediction(receiver, pred, sample.encoding)
+        rows.append(ReportRow(sample.id, sample.level_index, purity(receiver), purity(compensated),
+                              psnr(pred, sample.gt_screen_img), epoch))
+    summary = LevelSummary(
+        level=samples[0].level_index,
+        count=len(rows),
+        mean_mp_distorted=float(np.mean([r.mp_distorted for r in rows])),
+        mean_mp_compensated=float(np.mean([r.mp_compensated for r in rows])),
+        mean_psnr=float(np.mean([r.psnr for r in rows])),
+        mean_mp_bound_screen=float(np.mean(bounds_screen)),
+        mean_mp_bound_receiver=float(np.mean(bounds_receiver)),
+        improved_fraction=sum(r.mp_compensated > r.mp_distorted for r in rows) / len(rows),
+    )
+    return rows, summary
+
+
+class TestEvaluateAgainstReference:
+    """Rows and summary equal the per-sample reference bit for bit, below and
+    at 128 x 128, the first size where numpy's product order flips.
+
+    Level 1 is strong enough that, on these seeds, one sample's receiver-plane
+    bound changes in its last bit when the conjugate phasor's product takes the
+    other operand order. The mean over the level hides that, so each sample is
+    also evaluated alone.
+    """
+
+    @pytest.fixture(scope="class", params=[64, 128])
+    def setup(self, request, tmp_path_factory):
+        n = request.param
+        grid = GridSpec(n, 0.01 / n, 633e-9)
+        levels = tuple(TurbulenceParams.from_cn2(c, eta=10.37e-3, epsilon=1e-10)
+                       for c in (1e-12, 1e-10))
+        config = DatasetConfig(grid=grid, levels=levels, count_per_level=6, train_per_level=2,
+                               waist=2e-3, base_seed=40)
+        root = tmp_path_factory.mktemp(f"evalref{n}")
+        manifest = generate_dataset(config, root)
+        net = DiffractiveNetwork.build(grid, n_layers=2, init="random", init_seed=5)
+        return manifest, load_split(manifest, "test", root, level_index=1), net
+
+    @pytest.mark.parametrize("name", ["network", "zero", "oracle"])
+    def test_equals_reference(self, setup, name):
+        manifest, samples, net = setup
+        predictor = {"network": network_predictor(net), "zero": zero_predictor,
+                     "oracle": oracle_predictor}[name]
+        for chosen in [samples] + [[sample] for sample in samples]:
+            expected = reference_evaluate(predictor, chosen, manifest, epoch=4)
+            assert evaluate_level(predictor, chosen, manifest, epoch=4) == expected
 
 
 class TestCompensationPhysics:

@@ -190,6 +190,32 @@ class TestHop:
         assert not np.shares_memory(out, u) and not np.shares_memory(out, h)
         assert not np.shares_memory(out, hop(u, h))
 
+    @pytest.mark.parametrize("shape", [(64, 64), (256, 256), (4, 64, 64)])
+    def test_out_may_be_the_input(self, shape, rng):
+        n = shape[-1]
+        h = make_kernel(GridSpec(n, 0.01 / n, 633e-9), 0.37).h
+        u = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        expected = hop(u, h)
+        assert hop(u, h, out=u) is u
+        np.testing.assert_array_equal(u, expected)
+
+    def test_allocates_no_plane_in_place(self, rng):
+        grid = GridSpec(256, 0.01 / 256, 633e-9)
+        u = random_field(grid, rng).values.copy()
+        h = make_kernel(grid, 0.2).h
+        hop(u, h, out=u)  # the first call may build and cache FFT plans
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            hop(u, h, out=u)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 0.5 * u.nbytes
+
     def test_allocates_only_its_output(self, rng):
         # the fft2 statement peaks at three arrays; the in-place hop at one
         grid = GridSpec(256, 0.01 / 256, 633e-9)
