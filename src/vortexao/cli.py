@@ -118,10 +118,12 @@ def cmd_train(args) -> int:
         init=args.init,
     )
     os.makedirs(args.out, exist_ok=True)
-    loss_rows: list[str] = []
+    loss_rows = ["epoch,loss\n"]
 
     def on_epoch(epoch: int, state: TrainState, loss: float) -> None:
-        loss_rows.append(f"{epoch},{loss:.10e}")
+        loss_rows.append(f"{epoch},{loss:.10e}\n")
+        # rewritten before each checkpoint, so a run cut short keeps its loss curve
+        atomic_write_bytes(os.path.join(args.out, "loss.csv"), "".join(loss_rows).encode("ascii"))
         if epoch % args.checkpoint_every == 0 or epoch == args.epochs:
             save_checkpoint(os.path.join(args.out, f"epoch_{epoch:03d}.ckpt"), state)
 
@@ -134,8 +136,6 @@ def cmd_train(args) -> int:
         shuffle_seed=args.seed,
         on_epoch=on_epoch,
     )
-    csv = "epoch,loss\n" + "\n".join(loss_rows) + "\n"
-    atomic_write_bytes(os.path.join(args.out, "loss.csv"), csv.encode("ascii"))
     print(f"trained {args.epochs} epochs on {len(pairs)} pairs; final loss {losses[-1]:.6f}")
     return 0
 

@@ -54,7 +54,7 @@ from .field import (
     normalize_image,
 )
 from .images import PGM_MAXVAL, atomic_write_bytes, parse_pgm, pgm_bytes, quantize_image
-from .propagation import PropagationKernel, make_kernel, propagate
+from .propagation import PropagationKernel, dft2, make_kernel, propagate
 from .turbulence import ScreenRng, TurbulenceParams, make_screen, screen_variance, standard_levels
 
 MANIFEST_NAME = "manifest.txt"
@@ -236,11 +236,10 @@ def _beam_and_kernel(
 
 
 def _synthesize(
-    config: DatasetConfig, sample_id: int, to_receiver: bool
+    config: DatasetConfig, sample_id: int, seed: int, to_receiver: bool
 ) -> tuple[PhaseScreen, ComplexField, ComplexField | None]:
     level = level_of_id(config, sample_id)
-    rng = ScreenRng(sample_seed(config.base_seed, sample_id))
-    screen = make_screen(config.levels[level], config.grid, rng)
+    screen = make_screen(config.levels[level], config.grid, ScreenRng(seed))
     beam, kernel = _beam_and_kernel(config.grid, config.ell, config.waist, config.z_obs)
     at_screen = apply_phase(beam, screen)
     receiver = propagate(at_screen, kernel) if to_receiver else None
@@ -251,11 +250,18 @@ def synthesize_fields(
     config: DatasetConfig, sample_id: int
 ) -> tuple[PhaseScreen, ComplexField, ComplexField]:
     """Regenerate (screen, field at screen plane, field at receiver) for an id."""
-    return _synthesize(config, sample_id, to_receiver=True)
+    seed = sample_seed(config.base_seed, sample_id)
+    return _synthesize(config, sample_id, seed, to_receiver=True)
 
 
 def encoding_range(params: TurbulenceParams, grid: GridSpec) -> tuple[float, float]:
-    """Fixed per-level encoding span, +/- 4 theoretical sigma."""
+    """Fixed per-level encoding span, +/- 4 theoretical sigma, memoized on ``(params, grid)``."""
+    return _encoding_range(params, grid)
+
+
+# room for the four standard levels of one grid
+@functools.lru_cache(maxsize=4)
+def _encoding_range(params: TurbulenceParams, grid: GridSpec) -> tuple[float, float]:
     sigma = float(np.sqrt(screen_variance(params, grid)))
     return (-ENCODING_SIGMA_SPAN * sigma, ENCODING_SIGMA_SPAN * sigma)
 
@@ -268,8 +274,9 @@ def observed_intensity(
     ``fourier`` reads only ``at_screen``, so ``receiver`` may be None there.
     """
     if observation == "fourier":
-        spectrum = np.fft.fftshift(np.fft.fft2(at_screen.values, norm="ortho"))
-        return np.abs(spectrum) ** 2
+        # one fresh spectrum buffer; the shift moves the real image, which
+        # equals shifting the spectrum first bit for bit
+        return np.fft.fftshift(np.abs(dft2(at_screen.values)) ** 2)
     if observation == "free":
         return intensity(receiver)
     raise ConfigError(f"unknown observation mode {observation!r}")
@@ -283,19 +290,17 @@ def synthesize_sample(config: DatasetConfig, sample_id: int) -> Sample:
     """
     level = level_of_id(config, sample_id)
     lo, hi = encoding_range(config.levels[level], config.grid)
+    seed = sample_seed(config.base_seed, sample_id)
     screen, at_screen, receiver = _synthesize(
-        config, sample_id, to_receiver=config.observation == "free"
+        config, sample_id, seed, to_receiver=config.observation == "free"
     )
     img = observed_intensity(at_screen, receiver, config.observation)
     if not np.all(np.isfinite(img)):
-        raise DomainError(
-            f"non-finite intensity for sample {sample_id} "
-            f"(seed {sample_seed(config.base_seed, sample_id)})"
-        )
+        raise DomainError(f"non-finite intensity for sample {sample_id} (seed {seed})")
     return Sample(
         id=sample_id,
         level_index=level,
-        seed=sample_seed(config.base_seed, sample_id),
+        seed=seed,
         distorted_levels=quantize_image(normalize_image(img)),
         gt_screen_levels=quantize_image(encode_screen(screen.phase, lo, hi)),
         encoding=(lo, hi),

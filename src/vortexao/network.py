@@ -389,7 +389,7 @@ def backward(
     n_layers = len(tape.post_layer)
     params = np.zeros((n_layers, 2, *output.shape))
     for i in reversed(range(n_layers)):
-        adj = hop(adj, h_adjoint)
+        hop(adj, h_adjoint, out=adj)  # adj is always a fresh array here
         c = np.conj(tape.post_layer[i])
         prod = times_temporary(adj, c, out=c)
         # written straight into the slices: a temporary and a copy slow train() at 256

@@ -60,24 +60,35 @@ def make_kernel(grid: GridSpec, distance: float) -> PropagationKernel:
     return PropagationKernel(grid, distance, np.exp(1j * phase))
 
 
+def dft2(
+    a: np.ndarray, inverse: bool = False, norm: str = "ortho", out: np.ndarray | None = None
+) -> np.ndarray:
+    """The 2-D DFT over the last two axes, as two 1-D passes with one buffer.
+
+    The passes run in ``fft2``'s own axis order, last axis first, so each
+    plane of the result equals ``np.fft.fft2(a, norm=norm)`` (``ifft2`` when
+    ``inverse``) bit for bit. The first pass writes into ``out``, a fresh
+    array when it is None, and may be ``a`` itself; the second runs in place
+    there. ``a`` is only read unless it is ``out``.
+    """
+    transform = np.fft.ifft if inverse else np.fft.fft
+    b = transform(a, axis=-1, norm=norm, out=out)
+    return transform(b, axis=-2, norm=norm, out=b)
+
+
 def hop(u: np.ndarray, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """One hop on a plain array: IFFT( FFT(u) * h ) with orthonormal transforms.
 
     ``u`` is one plane ``(n, n)`` or a stack ``(k, n, n)`` of them; the
     transforms run over the last two axes, so every plane hops on its own.
-    Each 2-D transform runs as two 1-D transforms in ``fft2``'s own axis
-    order, last axis first, and every step after the first works in place on
-    the one buffer the hop returns: a fresh array, or ``out``, which may be
-    ``u`` itself. Each plane of the result equals
-    ``ifft2(fft2(u, norm="ortho") * h, norm="ortho")`` bit for bit, without
-    its intermediate arrays; ``h``, and ``u`` unless it is ``out``, are only read.
+    Both transforms are :func:`dft2` calls on the one buffer the hop returns, a
+    fresh array or ``out``, which may be ``u`` itself. Each plane equals
+    ``ifft2(fft2(u, norm="ortho") * h, norm="ortho")`` bit for bit, without its
+    intermediate arrays; ``h``, and ``u`` unless it is ``out``, are only read.
     """
-    a = np.fft.fft(u, axis=-1, norm="ortho", out=out)
-    np.fft.fft(a, axis=-2, norm="ortho", out=a)
+    a = dft2(u, out=out)
     a *= h
-    np.fft.ifft(a, axis=-1, norm="ortho", out=a)
-    np.fft.ifft(a, axis=-2, norm="ortho", out=a)
-    return a
+    return dft2(a, inverse=True, out=a)
 
 
 def propagate(field: ComplexField, kernel: PropagationKernel) -> ComplexField:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .field import GridSpec, PhaseScreen
+from .propagation import dft2
 
 A_T = 1.863e-2
 A_S = 1.9e-4
@@ -182,8 +183,8 @@ def make_screen(params: TurbulenceParams, grid: GridSpec, rng: ScreenRng) -> Pha
     g = rng.generator()
     noise = g.standard_normal((grid.n, grid.n)) + 1j * g.standard_normal((grid.n, grid.n))
     noise /= np.sqrt(2.0)
-    spectrum = noise * (np.sqrt(2.0) * amp)
-    phi = np.fft.ifft2(spectrum).real * grid.n**2
+    noise *= np.sqrt(2.0) * amp
+    phi = dft2(noise, inverse=True, norm="backward", out=noise).real * grid.n**2
     phi -= phi.mean()
     return PhaseScreen(grid, phi)
 

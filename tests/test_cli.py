@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from vortexao import cli
 from vortexao.cli import _dataset_config, _epoch_from_name, build_parser, main
 from vortexao.dataset import OBSERVATIONS, desk_config, read_config_file
 from vortexao.images import import_pgm
@@ -258,6 +259,29 @@ class TestTrainEval:
         assert len(lines) == 5  # header + one row per epoch
         losses = [float(row.split(",")[1]) for row in lines[1:]]
         assert all(np.isfinite(v) and v > 0 for v in losses)
+
+    def test_cut_run_keeps_its_loss_curve(self, cli_dataset, tmp_path, monkeypatch):
+        def train_args(out):
+            return ["train", "--data", cli_dataset, "--level", "1", "--epochs", "4",
+                    "--batch", "2", "--layers", "2", "--checkpoint-every", "1",
+                    "--out", str(out)]
+
+        assert main(train_args(tmp_path / "full")) == 0
+        full = (tmp_path / "full" / "loss.csv").read_bytes()
+        save = cli.save_checkpoint
+
+        def save_until_epoch_2(path, state):
+            if path.endswith("epoch_002.ckpt"):
+                raise OSError("no space left on device")
+            save(path, state)
+
+        monkeypatch.setattr(cli, "save_checkpoint", save_until_epoch_2)
+        cut = tmp_path / "cut"
+        assert main(train_args(cut)) == 1
+        assert sorted(os.listdir(cut)) == ["epoch_001.ckpt", "loss.csv"]
+        # the header and the two epochs run, as the full run wrote them
+        assert (cut / "loss.csv").read_bytes() == b"".join(full.splitlines(True)[:3])
+        assert full.count(b"\n") == 5 and full.startswith(b"epoch,loss\n1,")
 
     def test_eval_checkpoint_writes_report(self, cli_dataset, tmp_path):
         run = tmp_path / "run"

@@ -26,6 +26,7 @@ from vortexao import (
     make_screen,
     make_vortex_beam,
     normalize_image,
+    paper_config,
     propagate,
     screen_variance,
     synthesize_fields,
@@ -623,3 +624,123 @@ class TestUnreadManifestKeys:
     def test_any_hash_key_is_read(self, tmp_path):
         self.write(tmp_path, CUSTOM_CONFIG, lambda text: text + "hash/extra.pgm = 00\n")
         assert load_manifest(tmp_path).hashes == {**HASHES, "extra.pgm": "00"}
+
+
+def peak_bytes(fn) -> int:
+    """Peak bytes ``fn()`` allocates, as tracemalloc counts them, after a warm-up call."""
+    fn()  # the first call may build and cache FFT plans and spectra
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def synthesis_digests(config, ids) -> tuple[str, str]:
+    """sha256 over the ids' samples (levels and encodings), and over their fields."""
+    samples, fields = hashlib.sha256(), hashlib.sha256()
+    for i in ids:
+        s = synthesize_sample(config, i)
+        samples.update(repr((s.id, s.level_index, s.seed, s.encoding)).encode())
+        samples.update(s.distorted_levels.tobytes() + s.gt_screen_levels.tobytes())
+        screen, at_screen, receiver = synthesize_fields(config, i)
+        for a in (screen.phase, at_screen.values, receiver.values):
+            fields.update(a.tobytes())
+    return samples.hexdigest(), fields.hexdigest()
+
+
+PINNED_CONFIGS = {
+    "64-fourier": lambda: desk_config(),
+    "64-free": lambda: desk_config(observation="free"),
+    "128": lambda: dataclasses.replace(desk_config(), grid=GridSpec(128, 0.01 / 128, 633e-9)),
+    "256": lambda: paper_config(),
+}
+
+
+class TestPinnedSynthesis:
+    """Synthesis equals, bit for bit, what the two-pass transforms' predecessor computed.
+
+    :class:`TestSynthesisCaches` rebuilds samples with the public builders,
+    which call ``make_screen`` themselves, so it cannot see a change inside
+    ``make_screen``; these digests can. They were computed with numpy's
+    ``ifft2`` and ``fft2`` in place of the two-pass transform. They belong to
+    the numpy build that computed them: if a numpy upgrade changes them,
+    recompute them on the commit before the change under test.
+    """
+
+    @pytest.mark.parametrize("name, ids, samples_hex, fields_hex", [
+        ("64-fourier", (5, 1234, 2399),
+         "c13179256e3dfc804da154eed9fd4316a69c6ad61c932ea5bfcd964e21c8da6a",
+         "cf82d6d01c1152eecae1acfa043616fe2a7891ff13a50eabe2c1b6aa2c85b2c2"),
+        ("64-free", (5, 1234, 2399),
+         "1577c7aa6cbc2b5f86e0ed92071e61b90ffbc9cc666fc5bcb76001f913427192",
+         "cf82d6d01c1152eecae1acfa043616fe2a7891ff13a50eabe2c1b6aa2c85b2c2"),
+        ("128", (17, 1800),
+         "5fbc264c169833118b36b4a53a6984611321429b79da3d1dba658f144108c642",
+         "fe9eb4d1661e993556f5e4379ac57398e340c4ca5063f767813d5bb4a8770fbb"),
+        ("256", (7, 47999),
+         "5e8abaa5f24af4aa1ff49e5bc6f6705e22e7c8cc0e4c2e0c47ffe2758d0423d1",
+         "513799e2d614b2718aead0d712afd51e77acd8a78ed1308e7c39a143a7ace2a6"),
+    ], ids=list(PINNED_CONFIGS))
+    def test_digests(self, name, ids, samples_hex, fields_hex):
+        assert synthesis_digests(PINNED_CONFIGS[name](), ids) == (samples_hex, fields_hex)
+
+
+class TestObservedIntensityReference:
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_equals_shifted_fft2(self, n):
+        config = desk_config() if n == 64 else paper_config()
+        _, at_screen, _ = synthesize_fields(config, 3 * config.count_per_level + 1)
+        v = at_screen.values.copy()
+        expected = np.abs(np.fft.fftshift(np.fft.fft2(v, norm="ortho"))) ** 2
+        assert_bits_equal(observed_intensity(at_screen, None, "fourier"), expected)
+        assert_bits_equal(at_screen.values, v)
+
+    def test_allocates_one_spectrum_at_256(self):
+        # the fft2 statement peaks at two complex planes, one per 1-D pass
+        config = paper_config()
+        _, at_screen, _ = synthesize_fields(config, 1)
+        peak = peak_bytes(lambda: observed_intensity(at_screen, None, "fourier"))
+        assert peak < 1.75 * at_screen.values.nbytes
+
+
+class TestPerSampleRepeats:
+    def test_variance_summed_once_per_level(self, tiny_config, monkeypatch):
+        calls = []
+        variance = dataset.screen_variance
+
+        def counting_variance(params, grid):
+            calls.append(params)
+            return variance(params, grid)
+
+        monkeypatch.setattr(dataset, "screen_variance", counting_variance)
+        dataset._encoding_range.cache_clear()
+        for i in range(2 * tiny_config.count_per_level):
+            synthesize_sample(tiny_config, i)
+        encodings = [encoding_range(p, tiny_config.grid) for p in tiny_config.levels]
+        assert calls == list(tiny_config.levels)
+        for params, (lo, hi) in zip(tiny_config.levels, encodings):
+            sigma = np.sqrt(variance(params, tiny_config.grid))
+            assert (lo, hi) == (-4.0 * sigma, 4.0 * sigma)
+
+    @pytest.mark.parametrize("observation", OBSERVATIONS)
+    def test_seed_derived_once_per_sample(self, tiny_config, monkeypatch, observation):
+        config = dataclasses.replace(tiny_config, observation=observation)
+        calls = []
+        seed = dataset.sample_seed
+
+        def counting_seed(base_seed, sample_id):
+            calls.append(sample_id)
+            return seed(base_seed, sample_id)
+
+        monkeypatch.setattr(dataset, "sample_seed", counting_seed)
+        sample = synthesize_sample(config, 9)
+        assert calls == [9]
+        assert sample.seed == seed(config.base_seed, 9)
+        synthesize_fields(config, 9)
+        assert calls == [9, 9]

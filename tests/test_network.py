@@ -342,11 +342,13 @@ class TestArrayCore:
     @pytest.mark.parametrize("n_layers", [1, 5])
     def test_hop_and_transmission_counts(self, grid16, rng, monkeypatch, n_layers):
         calls = {"hop": 0, "transmission": 0}
+        in_place = []
         hop, transmission = network.hop, DiffractiveLayer.transmission
 
-        def counting_hop(u, h):
+        def counting_hop(u, h, out=None):
             calls["hop"] += 1
-            return hop(u, h)
+            in_place.append(out is u)
+            return hop(u, h, out=out)
 
         def counting_transmission(layer):
             calls["transmission"] += 1
@@ -357,9 +359,12 @@ class TestArrayCore:
         monkeypatch.setattr(network, "hop", counting_hop)
         monkeypatch.setattr(DiffractiveLayer, "transmission", counting_transmission)
         out, tape = forward(net, encode_input(img, grid16))
+        forward_hops = len(in_place)
         backward(net, tape, out, gt)
         # L + 1 hops forward, L back; one transmission per layer, all in forward
         assert calls == {"hop": 2 * n_layers + 1, "transmission": n_layers}
+        # every hop of backward runs in place in its input
+        assert in_place[forward_hops:] == [True] * n_layers
 
     def test_unknown_mode_rejected(self, grid16):
         with pytest.raises(ConfigError, match="mode"):
@@ -419,9 +424,9 @@ class TestStackedCore:
         calls = []
         hop = network.hop
 
-        def counting_hop(u, h):
+        def counting_hop(u, h, out=None):
             calls.append(u.shape)
-            return hop(u, h)
+            return hop(u, h, out=out)
 
         net = small_net(grid16, n_layers=n_layers)
         pairs = [random_pair(grid16, rng) for _ in range(3)]

@@ -20,7 +20,7 @@ from vortexao import (
     propagate_adjoint,
     rayleigh_sommerfeld,
 )
-from vortexao.propagation import hop
+from vortexao.propagation import dft2, hop
 
 
 def random_field(grid, rng):
@@ -233,6 +233,40 @@ class TestHop:
             if not tracing:
                 tracemalloc.stop()
         assert peak < 1.5 * out.nbytes
+
+
+class TestDft2:
+    @pytest.mark.parametrize("shape", [(64, 64), (256, 256), (4, 64, 64)])
+    @pytest.mark.parametrize("norm", ["ortho", "backward"])
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_equals_numpy_fft2(self, rng, shape, norm, inverse):
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        before = a.copy()
+        reference = (np.fft.ifft2 if inverse else np.fft.fft2)(a, norm=norm)
+        got = dft2(a, inverse=inverse, norm=norm)
+        assert got.tobytes() == reference.tobytes()
+        assert a.tobytes() == before.tobytes()
+        assert dft2(a, inverse=inverse, norm=norm, out=a) is a
+        assert a.tobytes() == reference.tobytes()
+
+    def test_real_input_into_fresh_buffer(self, rng):
+        a = rng.normal(size=(32, 32))
+        assert dft2(a).tobytes() == np.fft.fft2(a, norm="ortho").tobytes()
+
+    def test_in_place_allocates_no_plane_at_256(self, rng):
+        a = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+        dft2(a, out=a)  # the first call may build and cache FFT plans
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            dft2(a, inverse=True, out=a)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 0.5 * a.nbytes
 
 
 class TestLayerTransmit:

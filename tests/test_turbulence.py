@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from vortexao import (
     screen_variance,
     standard_levels,
 )
+from vortexao.turbulence import _spectral_amplitude
 
 # frozen reference values computed independently with 50-digit arithmetic,
 # term by term (cn2=1e-14, tau=-2.5, eta=1e-3)
@@ -151,6 +154,47 @@ class TestMakeScreen:
         vx = per_pixel.mean(axis=0).mean()
         vy = per_pixel.mean(axis=1).mean()
         assert abs(vx / vy - 1) < 0.15
+
+
+class TestMakeScreenReference:
+    """``make_screen`` equals numpy's ``ifft2`` statement it replaced, bit for bit."""
+
+    @staticmethod
+    def reference(params, grid, rng):
+        g = rng.generator()
+        noise = g.standard_normal((grid.n, grid.n)) + 1j * g.standard_normal((grid.n, grid.n))
+        noise /= np.sqrt(2.0)
+        amp = _spectral_amplitude(params, grid)
+        phi = np.fft.ifft2(noise * (np.sqrt(2) * amp)).real * grid.n**2
+        return phi - phi.mean()
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("level", [0, 3])
+    def test_equals_ifft2(self, n, level):
+        grid = GridSpec(n, 0.01 / n, 633e-9)
+        params = standard_levels(eta=5.83e-3, epsilon=1e-9)[level]
+        for seed in (3, 2**40 + 1):
+            phase = make_screen(params, grid, ScreenRng(seed)).phase
+            expected = self.reference(params, grid, ScreenRng(seed))
+            assert phase.dtype == expected.dtype and phase.tobytes() == expected.tobytes()
+
+    def test_allocates_one_spectrum_at_256(self):
+        # the spectrum product and ifft2's two passes held four complex planes
+        grid = GridSpec(256, 0.01 / 256, 633e-9)
+        params = standard_levels()[3]
+        make_screen(params, grid, ScreenRng(1))  # caches FFT plans and the spectrum
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            make_screen(params, grid, ScreenRng(2))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        # building the complex noise from two real draws peaks near two complex planes
+        assert peak < 2.5 * grid.n**2 * 16
 
 
 class TestStandardLevels:
