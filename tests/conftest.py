@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,3 +24,26 @@ def grid16():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def peak_bytes():
+    """``peak_bytes(fn)``: the peak bytes one ``fn()`` allocates, after a warm-up call.
+
+    The warm-up lets the first call build and cache FFT plans and spectra.
+    """
+
+    def measure(fn) -> int:
+        fn()
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    return measure

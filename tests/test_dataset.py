@@ -626,21 +626,6 @@ class TestUnreadManifestKeys:
         assert load_manifest(tmp_path).hashes == {**HASHES, "extra.pgm": "00"}
 
 
-def peak_bytes(fn) -> int:
-    """Peak bytes ``fn()`` allocates, as tracemalloc counts them, after a warm-up call."""
-    fn()  # the first call may build and cache FFT plans and spectra
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-
-
 def synthesis_digests(config, ids) -> tuple[str, str]:
     """sha256 over the ids' samples (levels and encodings), and over their fields."""
     samples, fields = hashlib.sha256(), hashlib.sha256()
@@ -701,7 +686,7 @@ class TestObservedIntensityReference:
         assert_bits_equal(observed_intensity(at_screen, None, "fourier"), expected)
         assert_bits_equal(at_screen.values, v)
 
-    def test_allocates_one_spectrum_at_256(self):
+    def test_allocates_one_spectrum_at_256(self, peak_bytes):
         # the fft2 statement peaks at two complex planes, one per 1-D pass
         config = paper_config()
         _, at_screen, _ = synthesize_fields(config, 1)

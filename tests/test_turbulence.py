@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,21 +176,11 @@ class TestMakeScreenReference:
             expected = self.reference(params, grid, ScreenRng(seed))
             assert phase.dtype == expected.dtype and phase.tobytes() == expected.tobytes()
 
-    def test_allocates_one_spectrum_at_256(self):
+    def test_allocates_one_spectrum_at_256(self, peak_bytes):
         # the spectrum product and ifft2's two passes held four complex planes
         grid = GridSpec(256, 0.01 / 256, 633e-9)
         params = standard_levels()[3]
-        make_screen(params, grid, ScreenRng(1))  # caches FFT plans and the spectrum
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            make_screen(params, grid, ScreenRng(2))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        peak = peak_bytes(lambda: make_screen(params, grid, ScreenRng(2)))
         # building the complex noise from two real draws peaks near two complex planes
         assert peak < 2.5 * grid.n**2 * 16
 
