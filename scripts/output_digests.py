@@ -16,7 +16,10 @@ one for each of these sections at every size:
 ``predict``
     ``predict_image`` outputs of the trained hybrid network;
 ``evaluate``
-    ``evaluate_level`` rows and summary for the network, zero and oracle predictors.
+    ``evaluate_level`` rows and summary for the network, zero and oracle predictors;
+``config``
+    the sha256 of the ``manifest.txt`` that ``vortexao gen-dataset`` writes
+    with ``--desk`` and with ``--paper-scale``, 2 samples per level, seed 7.
 
 Every input comes from fixed seeds and ids. The whole run at the default
 sizes takes a few seconds on one CPU core.
@@ -25,8 +28,10 @@ sizes takes a few seconds on one CPU core.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import os
 import sys
 import tempfile
@@ -44,14 +49,14 @@ from vortexao import (  # noqa: E402
     network_predictor,
     oracle_predictor,
     save_checkpoint,
-    standard_levels,
     synthesize_fields,
     synthesize_sample,
     train,
     training_pairs,
     zero_predictor,
 )
-from vortexao.dataset import DESK_EPSILON, DESK_ETA, DESK_WAIST, OBSERVATIONS  # noqa: E402
+from vortexao.cli import main as cli_main  # noqa: E402
+from vortexao.dataset import OBSERVATIONS, desk_config  # noqa: E402
 from vortexao.network import MODES, predict_image  # noqa: E402
 
 COUNT, TRAIN = 6, 4  # per level: ids 0-3 of a level train, 4 and 5 test
@@ -71,15 +76,23 @@ def digest(*parts) -> str:
 
 
 def config(n: int, observation: str) -> DatasetConfig:
-    return DatasetConfig(
-        grid=GridSpec(n, 0.01 / n, 633e-9),
-        levels=tuple(standard_levels(eta=DESK_ETA, epsilon=DESK_EPSILON)),
-        count_per_level=COUNT,
-        train_per_level=TRAIN,
-        waist=DESK_WAIST,
-        base_seed=29,
-        observation=observation,
-    )
+    """The desk protocol on an ``n`` x ``n`` grid of the desk grid's side."""
+    desk = desk_config(base_seed=29)
+    grid = GridSpec.from_side(n, desk.grid.side, desk.grid.wavelength)
+    return dataclasses.replace(desk, grid=grid, count_per_level=COUNT, train_per_level=TRAIN,
+                               observation=observation)
+
+
+def manifest_sha256(n: int, preset: str) -> str:
+    """sha256 of the manifest ``gen-dataset`` writes for a preset on an ``n`` x ``n`` grid."""
+    with tempfile.TemporaryDirectory() as tmp:
+        args = ["gen-dataset", "--out", tmp, preset, "--grid", str(n), "--count", "2",
+                "--train-count", "1", "--seed", "7"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli_main(args) != 0:
+                raise SystemExit(f"gen-dataset {preset} failed at n={n}")
+        with open(os.path.join(tmp, "manifest.txt"), "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
 
 
 def size_lines(n: int) -> list[str]:
@@ -123,6 +136,8 @@ def size_lines(n: int) -> list[str]:
         rows, summary = evaluate_level(predictor, test_samples, manifest, epoch=2)
         emit("evaluate", name, *[dataclasses.astuple(r) for r in rows],
              dataclasses.astuple(summary))
+    for name, preset in (("desk", "--desk"), ("paper", "--paper-scale")):
+        lines.append(f"config n={n} {name} {manifest_sha256(n, preset)}")
     return lines
 
 

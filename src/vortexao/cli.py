@@ -13,7 +13,6 @@ written atomically. Every command is deterministic given its seed inputs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import re
 import sys
@@ -28,6 +27,7 @@ from .dataset import (
     load_manifest,
     load_split,
     paper_config,
+    protocol_config,
     read_config_file,
     synthesize_fields,
     training_pairs,
@@ -55,37 +55,26 @@ from .turbulence import STANDARD_CN2_LEVELS, screen_variance
 
 
 def _dataset_config(args) -> DatasetConfig:
-    """The preset, with the config file's values over it and the flags over those."""
+    """The preset, with the config file's values over it and the flags over those.
+
+    The grid is built first, so a bad grid value fails as the grid's error,
+    and the levels take the grid's wavelength.
+    """
     base = paper_config() if args.paper_scale else desk_config()
-    g, count = base.grid, base.count_per_level
-    values = dict(grid_n=g.n, grid_side=g.side, wavelength=g.wavelength, count_per_level=count)
+    g = base.grid
+    values = dict(grid_n=g.n, grid_side=g.side, wavelength=g.wavelength)
+    # the presets set no other field, so the rest keep DatasetConfig's defaults
+    values.update(count_per_level=base.count_per_level, waist=base.waist, base_seed=base.base_seed)
     values.update(read_config_file(args.config) if args.config else {})
     flags = dict(grid_n=args.grid, count_per_level=args.count, train_per_level=args.train_count)
     flags.update(base_seed=args.seed, observation=args.observation)
     values.update((key, value) for key, value in flags.items() if value is not None)
-    indices = range(len(base.levels)) if args.levels is None else args.levels
-    return _replace(base, tuple(base.levels[i] for i in indices), **values)
-
-
-def _replace(
-    base, levels, grid_n, grid_side, wavelength, count_per_level, train_per_level=None, **fields
-) -> DatasetConfig:
-    """``base`` with ``levels`` and these keys; without a train count, 5/6 of each level trains."""
-    if train_per_level is None:
-        train_per_level = count_per_level * 5 // 6
-    return dataclasses.replace(
-        base,
-        grid=GridSpec.from_side(grid_n, grid_side, wavelength),
-        levels=levels,
-        count_per_level=count_per_level,
-        train_per_level=train_per_level,
-        **fields,
-    )
+    grid = GridSpec.from_side(*(values.pop(k) for k in ("grid_n", "grid_side", "wavelength")))
+    return protocol_config(grid, level_indices=args.levels, **values)
 
 
 def cmd_gen_dataset(args) -> int:
     config = _dataset_config(args)
-    os.makedirs(args.out, exist_ok=True)
     manifest = generate_dataset(config, args.out)
     print(f"wrote {manifest.total} samples to {args.out}")
     summary_n = min(50, config.train_per_level)
@@ -282,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--beam", action="store_true", required=True)
     i.add_argument("--out", required=True, help="output PGM path")
     i.add_argument("--grid", type=_positive_int, default=desk_config().grid.n)
-    i.add_argument("--ell", type=int, default=-3)
-    i.add_argument("--waist", type=float, default=3.5e-3)
+    i.add_argument("--ell", type=int, default=DatasetConfig.ell)
+    i.add_argument("--waist", type=float, default=DatasetConfig.waist)
     i.add_argument("--spectrum-csv", help="also write the beam OAM spectrum CSV")
     i.set_defaults(func=cmd_inspect)
     return parser

@@ -130,7 +130,7 @@ class DatasetConfig:
     waist: float = 3.5e-3
     z_obs: float = 0.1
     base_seed: int = 0
-    observation: str = "fourier"
+    observation: str = OBSERVATIONS[0]
 
     def __post_init__(self):
         if not self.levels:
@@ -149,6 +149,13 @@ class DatasetConfig:
             raise ConfigError(
                 f"unknown observation mode {self.observation!r}, expected {OBSERVATIONS}"
             )
+        k0 = 2.0 * np.pi / self.grid.wavelength  # as TurbulenceParams.from_cn2 computes it
+        for i, params in enumerate(self.levels):
+            if abs(params.k0 - k0) > 1e-12 * k0:
+                raise ConfigError(
+                    f"level {i}: k0 = {params.k0} does not match the grid's wavelength "
+                    f"{self.grid.wavelength} (k0 = {k0})"
+                )
 
 
 @dataclass
@@ -164,32 +171,42 @@ class Manifest:
         return self.config.count_per_level * len(self.config.levels)
 
 
-def desk_config(base_seed: int = 7, observation: str = "fourier") -> DatasetConfig:
+def desk_config(base_seed: int = 7) -> DatasetConfig:
     """The desk-scale protocol: 64 x 64 grids, 600 samples per level.
 
     Uses quiet-ocean dissipation defaults and a 2 mm beam waist; these keep
     the strongest level learnable by the reference network size while the
     four levels stay strictly ordered in distortion strength.
     """
-    return _protocol(64, 600, DESK_WAIST, base_seed, observation)
+    return _protocol(64, 600, base_seed, waist=DESK_WAIST)
 
 
-def paper_config(base_seed: int = 7, observation: str = "fourier") -> DatasetConfig:
+def paper_config(base_seed: int = 7) -> DatasetConfig:
     """The full-scale protocol: 256 x 256 grids, 12000 samples per level."""
-    return _protocol(256, 12000, 3.5e-3, base_seed, observation)
+    return _protocol(256, 12000, base_seed)
 
 
-def _protocol(n: int, count: int, waist: float, base_seed: int, observation: str):
-    """The four standard levels on an ``n`` x ``n`` grid across 1 cm; 5/6 of each level trains."""
-    return DatasetConfig(
-        grid=GridSpec(n, 0.01 / n, 633e-9),
-        levels=tuple(standard_levels(eta=DESK_ETA, epsilon=DESK_EPSILON)),
-        count_per_level=count,
-        train_per_level=count * 5 // 6,
-        waist=waist,
-        base_seed=base_seed,
-        observation=observation,
-    )
+def _protocol(n: int, count: int, base_seed: int, **fields) -> DatasetConfig:
+    """The protocol on an ``n`` x ``n`` grid across 1 cm at 633 nm."""
+    grid = GridSpec.from_side(n, 0.01, 633e-9)
+    return protocol_config(grid, count, base_seed=base_seed, **fields)
+
+
+def protocol_config(
+    grid: GridSpec, count_per_level: int, *, level_indices=None, train_per_level=None, **fields
+) -> DatasetConfig:
+    """The protocol's levels at ``grid``'s wavelength, with quiet-ocean dissipation.
+
+    ``level_indices`` picks among the four standard levels (all by default).
+    Without a ``train_per_level``, 5/6 of each level trains. ``fields`` are
+    the config's other fields.
+    """
+    levels = standard_levels(wavelength=grid.wavelength, eta=DESK_ETA, epsilon=DESK_EPSILON)
+    if level_indices is not None:
+        levels = [levels[i] for i in level_indices]
+    if train_per_level is None:
+        train_per_level = count_per_level * 5 // 6
+    return DatasetConfig(grid, tuple(levels), count_per_level, train_per_level, **fields)
 
 
 def sample_seed(base_seed: int, sample_id: int) -> int:
@@ -326,6 +343,8 @@ def generate_dataset(config: DatasetConfig, out_dir, workers: int | None = None)
     interrupted run never leaves a manifest pointing at missing files.
     """
     out_dir = os.fspath(out_dir)
+    # a beam that cannot be built fails here, before any directory is made
+    _beam_and_kernel(config.grid, config.ell, config.waist, config.z_obs)
     for split in SPLITS:
         os.makedirs(os.path.join(out_dir, split), exist_ok=True)
     if workers is None:

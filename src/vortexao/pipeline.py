@@ -38,9 +38,12 @@ def compensate(distorted_field: ComplexField, comp: PhaseScreen) -> ComplexField
 def compensate_prediction(
     receiver: ComplexField, pred_img: np.ndarray, encoding: tuple[float, float]
 ) -> ComplexField:
-    """Decode a predicted screen image, negate it and apply it at the receiver."""
-    pred = PhaseScreen(receiver.grid, decode_screen(pred_img, *encoding))
-    return compensate(receiver, conjugate_screen(pred))
+    """Decode a predicted screen image, negate it and apply it at the receiver.
+
+    The product rounds as ``compensate(receiver, conjugate_screen(pred))`` rounds it.
+    """
+    phasor = np.exp(-1j * decode_screen(pred_img, *encoding))
+    return ComplexField(receiver.grid, times_temporary(receiver.values, phasor))
 
 
 def network_predictor(net: DiffractiveNetwork) -> Predictor:
@@ -55,7 +58,7 @@ def oracle_predictor(sample: Sample) -> np.ndarray:
 
 def zero_predictor(sample: Sample) -> np.ndarray:
     """Identity stub: a mid-gray image decoding to the zero screen."""
-    return np.full_like(sample.gt_screen_img, 0.5)
+    return np.full(sample.gt_screen_levels.shape, 0.5)
 
 
 @dataclass
@@ -72,7 +75,7 @@ class LevelSummary:
     improved_fraction: float
 
 
-def _evaluate(runs, samples, manifest, ell_range):
+def _evaluate(runs, samples, manifest):
     """Score every ``(epoch, predictor)`` run in one pass; one ``(rows, summary)`` each.
 
     A sample's fields, distorted mode purity and bounds are computed once for
@@ -86,8 +89,7 @@ def _evaluate(runs, samples, manifest, ell_range):
     level = levels.pop()
     config = manifest.config
     ell = config.ell
-    if ell_range is None:
-        ell_range = mode_range(ell)
+    ell_range = mode_range(ell)
 
     def purity(field: ComplexField) -> float:
         return mode_purity(oam_decompose(field, ell_range), ell)
@@ -129,7 +131,6 @@ def evaluate_level(
     samples: list[Sample],
     manifest: Manifest,
     epoch: int = 0,
-    ell_range: tuple[int, int] | None = None,
 ) -> tuple[list[ReportRow], LevelSummary]:
     """Evaluate a predictor on samples of a single turbulence level.
 
@@ -139,7 +140,7 @@ def evaluate_level(
     stored ground-truth image. The summary also carries both perfect
     knowledge bounds (screen plane and receiver plane).
     """
-    return _evaluate([(epoch, predictor)], samples, manifest, ell_range)[0]
+    return _evaluate([(epoch, predictor)], samples, manifest)[0]
 
 
 def epoch_sweep(
@@ -155,5 +156,5 @@ def epoch_sweep(
         raise ConfigError("no checkpoints to sweep")
     epochs = sorted(checkpoints)
     runs = [(e, network_predictor(load_checkpoint(checkpoints[e]).network)) for e in epochs]
-    results = _evaluate(runs, samples, manifest, None)
+    results = _evaluate(runs, samples, manifest)
     return [(e, s.mean_psnr, s.mean_mp_compensated) for e, (_, s) in zip(epochs, results)]

@@ -83,7 +83,7 @@ class TurbulenceParams:
         eta: float = 1e-3,
         epsilon: float = 1e-5,
     ) -> "TurbulenceParams":
-        """Construct from the structure strength; chi_t derived from epsilon."""
+        """Construct from cn2, chi_t derived from epsilon; defaults: 30 m of mid-ocean at 633 nm."""
         if not epsilon > 0:
             raise ConfigError(f"epsilon must be positive, got {epsilon}")
         chi_t = cn2 * 1e8 * epsilon ** (1.0 / 3.0)
@@ -192,24 +192,10 @@ def make_screen(params: TurbulenceParams, grid: GridSpec, rng: ScreenRng) -> Pha
 STANDARD_CN2_LEVELS = (1e-15, 1e-14, 1e-13, 1e-12)
 
 
-def standard_levels(
-    *,
-    z: float = 30.0,
-    wavelength: float = 633e-9,
-    tau: float = -2.5,
-    eta: float = 1e-3,
-    epsilon: float = 1e-5,
-) -> list[TurbulenceParams]:
-    """The four reference turbulence strengths, weak through strong.
+def standard_levels(**overrides: float) -> list[TurbulenceParams]:
+    """The four reference strengths, weak through strong: cn2 = 1e-15 ... 1e-12 K^2 m^(-2/3).
 
-    cn2 in {1e-15, 1e-14, 1e-13, 1e-12} K^2 m^(-2/3) over a 30 m path at
-    633 nm. Inner scale and dissipation default to mid-ocean values; pass
-    quieter ones (smaller epsilon, larger eta) to soften the high-frequency
-    tail of the screens.
+    ``overrides`` go to :meth:`TurbulenceParams.from_cn2`, which holds every default. Quieter
+    values (smaller epsilon, larger eta) soften the high-frequency tail of the screens.
     """
-    return [
-        TurbulenceParams.from_cn2(
-            cn2, z=z, wavelength=wavelength, tau=tau, eta=eta, epsilon=epsilon
-        )
-        for cn2 in STANDARD_CN2_LEVELS
-    ]
+    return [TurbulenceParams.from_cn2(cn2, **overrides) for cn2 in STANDARD_CN2_LEVELS]

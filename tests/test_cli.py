@@ -1,14 +1,22 @@
 import argparse
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from vortexao import cli
 from vortexao.cli import _dataset_config, _epoch_from_name, build_parser, main
-from vortexao.dataset import OBSERVATIONS, desk_config, read_config_file
+from vortexao.dataset import (
+    OBSERVATIONS,
+    DatasetConfig,
+    desk_config,
+    paper_config,
+    read_config_file,
+)
 from vortexao.images import import_pgm
 from vortexao.network import MODES
+from vortexao.turbulence import screen_variance
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +97,25 @@ class TestGenDataset:
         text = (out / "manifest.txt").read_text()
         assert "base_seed = 3" in text  # flag wins over file
         assert "count_per_level = 4" in text
+
+    def test_unbuildable_beam_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        args = ["--desk", "--grid", "8", "--count", "4", "--train-count", "2"]
+        rc = main(["gen-dataset", "--out", str(out)] + args)
+        assert rc == 1
+        assert capsys.readouterr().err == "error: |ell|=3 unresolvable on an n=8 grid\n"
+        assert not out.exists()
+
+    def test_config_file_wavelength_reaches_the_levels(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("wavelength = 5.32e-07\n")
+        out = tmp_path / "data"
+        args = ["--grid", "16", "--count", "2", "--train-count", "1", "--seed", "7"]
+        assert main(["gen-dataset", "--out", str(out), "--config", str(cfg)] + args) == 0
+        assert "level 3: cn2=1.0e-12 screen variance 2.3011 rad^2" in capsys.readouterr().out
+        text = (out / "manifest.txt").read_text()
+        assert "\nwavelength = 5.32e-07\n" in text
+        assert text.count(".k0 = 11810498.697705988\n") == 4
 
     def test_config_file_error_names_path_and_line(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -210,6 +237,43 @@ class TestGenDataset:
         assert (config.count_per_level, config.train_per_level, config.base_seed) == (6, 4, 9)
         beam = (config.ell, config.waist, config.z_obs, config.observation)
         assert beam == (2, 0.002, 0.3, "free")
+
+
+def parsed_config(*argv: str) -> DatasetConfig:
+    """The dataset config ``gen-dataset`` builds from these arguments."""
+    return _dataset_config(build_parser().parse_args(["gen-dataset", "--out", "x", *argv]))
+
+
+class TestPresetsAndWavelength:
+    """Each protocol value has one home: the presets, and the grid for the levels."""
+
+    def test_no_file_and_no_flags_give_the_preset(self):
+        assert parsed_config() == desk_config()
+        assert parsed_config("--desk") == desk_config()
+        assert parsed_config("--paper-scale") == paper_config()
+
+    @pytest.mark.parametrize("scale", [[], ["--paper-scale"]], ids=["desk", "paper"])
+    def test_levels_take_the_config_file_wavelength(self, tmp_path, scale):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("wavelength = 5.32e-07\n")
+        config = parsed_config("--config", str(cfg), "--grid", "16", *scale)
+        assert [p.k0 for p in config.levels] == [2 * np.pi / 5.32e-7] * 4
+        preset = parsed_config("--grid", "16", *scale)
+        assert [p.k0 for p in preset.levels] == [2 * np.pi / 633e-9] * 4
+
+    def test_level_variance_follows_the_wavelength(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("wavelength = 5.32e-07\n")
+        green = parsed_config("--config", str(cfg), "--grid", "16")
+        red = parsed_config("--grid", "16")
+        green_var = screen_variance(green.levels[3], green.grid)
+        red_var = screen_variance(red.levels[3], red.grid)
+        assert (round(green_var, 4), round(red_var, 4)) == (2.3011, 1.6254)
+        assert green_var / red_var == pytest.approx((633 / 532) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("count, train", [(6, 5), (12, 10), (2, 1)])
+    def test_train_count_defaults_to_five_sixths(self, count, train):
+        assert parsed_config("--count", str(count)).train_per_level == train
 
 
 @pytest.mark.parametrize(
@@ -386,6 +450,21 @@ class TestTrainEval:
         assert "learning rate" in capsys.readouterr().err
         assert list(out.glob("*.ckpt")) == []
 
+    def test_manifest_with_edited_wavelength_exits_1(self, cli_dataset, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(cli_dataset, data)
+        manifest = data / "manifest.txt"
+        text = manifest.read_text()
+        assert text.count("\nwavelength = 6.33e-07\n") == 1
+        manifest.write_text(text.replace("\nwavelength = 6.33e-07\n", "\nwavelength = 5.32e-07\n"))
+        train = ["train", "--data", str(data), "--level", "1", "--out", str(tmp_path / "run")]
+        report = str(tmp_path / "zero.csv")
+        evaluate = ["eval", "--data", str(data), "--level", "1", "--stub", "zero", "--report", report]
+        for argv in (train, evaluate):
+            assert main(argv) == 1
+            assert capsys.readouterr().err.startswith("error: level 0: k0 = ")
+        assert not (tmp_path / "run").exists() and not os.path.exists(report)
+
     def test_train_missing_dataset_runtime_error(self, tmp_path):
         rc = main(
             [
@@ -466,6 +545,11 @@ def option(command: str, flag: str) -> argparse.Action:
     """The parser's action for ``flag`` of ``command``."""
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return next(a for a in sub.choices[command]._actions if flag in a.option_strings)
+
+
+def test_inspect_beam_defaults_come_from_the_package():
+    assert option("inspect", "--ell").default == DatasetConfig.ell
+    assert option("inspect", "--waist").default == DatasetConfig.waist
 
 
 def test_choices_come_from_the_package():

@@ -439,6 +439,56 @@ class TestNoLevels:
             load_manifest(tmp_path)
 
 
+class TestLevelsMatchTheGrid:
+    """A level's wavenumber must be the grid's, however the config is built."""
+
+    def test_levels_at_another_wavelength_rejected(self, tiny_config):
+        green = tuple(
+            TurbulenceParams.from_cn2(p.cn2, wavelength=532e-9) for p in tiny_config.levels
+        )
+        with pytest.raises(ConfigError, match="^level 0: k0 = ") as exc:
+            dataclasses.replace(tiny_config, levels=green)
+        assert "wavelength 6.33e-07" in str(exc.value)
+        mixed = (tiny_config.levels[0], green[1])
+        with pytest.raises(ConfigError, match="^level 1: "):
+            dataclasses.replace(tiny_config, levels=mixed)
+
+    def test_grid_at_another_wavelength_rejected(self, tiny_config):
+        grid = GridSpec(16, 0.01 / 16, 532e-9)
+        with pytest.raises(ConfigError, match="^level 0: "):
+            dataclasses.replace(tiny_config, grid=grid)
+
+    def test_manifest_with_edited_wavelength_rejected(self, tiny_dataset, tmp_path):
+        root, _ = tiny_dataset
+        text = (root / "manifest.txt").read_bytes()
+        assert text.count(b"\nwavelength = 6.33e-07\n") == 1
+        edited = text.replace(b"\nwavelength = 6.33e-07\n", b"\nwavelength = 5.32e-07\n")
+        (tmp_path / "manifest.txt").write_bytes(edited)
+        with pytest.raises(ConfigError, match="^level 0: k0 = "):
+            load_manifest(tmp_path)
+
+    @pytest.mark.parametrize("wavelength", [633e-9, 532e-9, 1.55e-6])
+    def test_protocol_levels_take_the_grid_wavelength(self, wavelength):
+        grid = GridSpec.from_side(16, 0.01, wavelength)
+        config = dataset.protocol_config(grid, 6)
+        assert [p.k0 for p in config.levels] == [2 * np.pi / wavelength] * 4
+        assert config.train_per_level == 5
+        assert [p.cn2 for p in config.levels] == list(turbulence.STANDARD_CN2_LEVELS)
+        picked = dataset.protocol_config(grid, 12, level_indices=[3, 1], train_per_level=7)
+        assert picked.levels == (config.levels[3], config.levels[1])
+        assert (picked.count_per_level, picked.train_per_level) == (12, 7)
+
+    def test_presets_are_the_protocol_on_their_grids(self):
+        desk, paper = desk_config(3), paper_config(3)
+        desk_waist = dataset.DESK_WAIST
+        assert desk == dataset.protocol_config(desk.grid, 600, waist=desk_waist, base_seed=3)
+        assert paper == dataset.protocol_config(paper.grid, 12000, base_seed=3)
+        assert paper.waist == DatasetConfig.waist
+        assert desk.grid == GridSpec(64, 0.01 / 64, 633e-9)
+        assert paper.grid == GridSpec(256, 0.01 / 256, 633e-9)
+        assert desk.observation == paper.observation == OBSERVATIONS[0]
+
+
 class TestBadValues:
     """A manifest value that does not parse names the file and the key."""
 
@@ -508,7 +558,7 @@ class TestManifestSchema:
     def case(self, request):
         config = {
             "desk": lambda: desk_config(7),
-            "paper": lambda: dataset.paper_config(41, "free"),
+            "paper": lambda: dataclasses.replace(paper_config(41), observation="free"),
             "custom": lambda: CUSTOM_CONFIG,
         }[request.param]()
         encodings = [encoding_range(p, config.grid) for p in config.levels]
@@ -641,7 +691,7 @@ def synthesis_digests(config, ids) -> tuple[str, str]:
 
 PINNED_CONFIGS = {
     "64-fourier": lambda: desk_config(),
-    "64-free": lambda: desk_config(observation="free"),
+    "64-free": lambda: dataclasses.replace(desk_config(), observation="free"),
     "128": lambda: dataclasses.replace(desk_config(), grid=GridSpec(128, 0.01 / 128, 633e-9)),
     "256": lambda: paper_config(),
 }

@@ -28,8 +28,9 @@ def test_stable_and_names_every_section():
     assert {("train", mode) for mode in ("phase", "amplitude", "hybrid")} <= named
     assert ("predict", "hybrid") in named
     assert {("evaluate", p) for p in ("network", "zero", "oracle")} <= named
+    assert {("config", "desk"), ("config", "paper")} <= named
     assert {section for section, _ in named} == {
-        "synthesis", "fields", "train", "predict", "evaluate"
+        "synthesis", "fields", "train", "predict", "evaluate", "config"
     }
     assert len(set(lines)) == len(lines)
 
@@ -39,3 +40,17 @@ def test_sizes_are_separate_lines():
     sizes = [int(LINE.match(line).group(2)) for line in two]
     assert sizes.count(16) == sizes.count(32) == len(two) // 2
     assert [line for line in two if " n=16 " in line] == run(16).splitlines()
+
+
+def test_config_lines_digest_the_manifests_the_cli_writes(tmp_path):
+    import hashlib
+
+    from vortexao.cli import main
+
+    lines = dict(tuple(line.rsplit(" ", 1)) for line in run(16).splitlines())
+    for name, preset in (("desk", "--desk"), ("paper", "--paper-scale")):
+        out = tmp_path / name
+        args = ["--grid", "16", "--count", "2", "--train-count", "1", "--seed", "7"]
+        assert main(["gen-dataset", "--out", str(out), preset] + args) == 0
+        sha = hashlib.sha256((out / "manifest.txt").read_bytes()).hexdigest()
+        assert lines[f"config n=16 {name}"] == sha

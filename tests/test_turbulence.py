@@ -197,6 +197,18 @@ class TestStandardLevels:
     def test_wavenumber_from_wavelength(self):
         assert standard_levels()[0].k0 == pytest.approx(2 * np.pi / 633e-9)
 
+    def test_defaults_are_from_cn2s(self):
+        cn2s = (1e-15, 1e-14, 1e-13, 1e-12)
+        assert standard_levels() == [TurbulenceParams.from_cn2(c) for c in cn2s]
+        overrides = dict(z=12.0, wavelength=532e-9, tau=-1.0, eta=4e-3, epsilon=1e-8)
+        assert standard_levels(**overrides) == [
+            TurbulenceParams.from_cn2(c, **overrides) for c in cn2s
+        ]
+
+    def test_unknown_override_rejected(self):
+        with pytest.raises(TypeError):
+            standard_levels(wavelenght=532e-9)
+
 
 class TestScreenRng:
     def test_child_streams_independent(self):
