@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import Manifest, Sample, decode_screen, synthesize_fields
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .field import ComplexField, PhaseScreen, apply_phase, times_temporary
 from .metrics import ReportRow, mode_purity, mode_range, oam_decompose, psnr
 from .network import DiffractiveNetwork, load_checkpoint, predict_image
@@ -42,8 +42,10 @@ def compensate_prediction(
 
     The product rounds as ``compensate(receiver, conjugate_screen(pred))`` rounds it.
     """
-    phasor = np.exp(-1j * decode_screen(pred_img, *encoding))
-    return ComplexField(receiver.grid, times_temporary(receiver.values, phasor))
+    phase = decode_screen(pred_img, *encoding)
+    if not np.all(np.isfinite(phase)):
+        raise DomainError("predicted screen contains non-finite entries")
+    return ComplexField(receiver.grid, times_temporary(receiver.values, np.exp(-1j * phase)))
 
 
 def network_predictor(net: DiffractiveNetwork) -> Predictor:

@@ -5,6 +5,7 @@ import vortexao.pipeline as pipeline
 from vortexao import (
     ConfigError,
     DatasetConfig,
+    DomainError,
     DiffractiveNetwork,
     GridSpec,
     LevelSummary,
@@ -84,6 +85,18 @@ class TestCompensatePrediction:
         expected = compensate(receiver, conjugate_screen(screen))
         got = compensate_prediction(receiver, img, sample.encoding)
         np.testing.assert_array_equal(got.values, expected.values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_prediction_rejected(self, eval_setup, bad):
+        root, manifest = eval_setup
+        samples = load_split(manifest, "test", root, level_index=3)
+        _, _, receiver = synthesize_fields(manifest.config, samples[0].id)
+        img = np.full(receiver.values.shape, 0.5)
+        img[3, 5] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            compensate_prediction(receiver, img, samples[0].encoding)
+        with pytest.raises(DomainError, match="non-finite"):
+            evaluate_level(lambda sample: img, samples, manifest)
 
     def test_mid_gray_leaves_the_field_unchanged(self, eval_setup):
         root, manifest = eval_setup
